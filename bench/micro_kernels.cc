@@ -81,6 +81,33 @@ void BM_PairCounterAddSparse(benchmark::State& state) {
 }
 BENCHMARK(BM_PairCounterAddSparse);
 
+// SampleJointEntropy on the two layouts a round evaluates. Arg 0: a
+// dense 64x64 counter after 64k samples. Arg 1: a hashed 146x1000
+// counter after 16k samples -- a high-support candidate early in the
+// doubling schedule, below the 1/8-of-domain migration load -- which
+// sorts its keys before the scan.
+void BM_PairCounterJointEntropy(benchmark::State& state) {
+  const bool sparse = state.range(0) == 1;
+  const uint32_t support_a = sparse ? 146 : 64;
+  const uint32_t support_b = sparse ? 1000 : 64;
+  const uint64_t samples = sparse ? 1 << 14 : 1 << 16;
+  const Column column_a = MakeColumn(support_a, samples, 2);
+  const Column column_b = MakeColumn(support_b, samples, 3);
+  const std::vector<ValueCode> a =
+      column_a.codes();  // NOLINT(swope-raw-codes): setup
+  const std::vector<ValueCode> b =
+      column_b.codes();  // NOLINT(swope-raw-codes): setup
+  PairCounter counter(support_a, support_b);
+  counter.AddCodes(a.data(), b.data(), samples);
+  if (counter.is_dense() == sparse) std::abort();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(counter.SampleJointEntropy());
+  }
+  state.counters["distinct_pairs"] =
+      static_cast<double>(counter.distinct_pairs());
+}
+BENCHMARK(BM_PairCounterJointEntropy)->Arg(0)->Arg(1);
+
 // The acceptance race for the packed storage: batch width-specialized
 // gather (ColumnView::Gather) vs a per-row `code(order[i])` loop over the
 // same permuted index sequence, at a realistic per-round slice size.

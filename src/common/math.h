@@ -31,23 +31,10 @@ double EntropyFromCounts(const uint64_t* counts, size_t num_counts,
                          uint64_t total);
 double EntropyFromCounts(const std::vector<uint64_t>& counts, uint64_t total);
 
-/// Entropy computed from the streaming statistic sum_i n_i*log2(n_i):
+/// Entropy computed from the statistic sum_i n_i*log2(n_i):
 ///   H = log2(total) - sum_xlog2x / total.
-/// This is the identity the incremental FrequencyCounter relies on.
+/// EntropyFromCounts and the exact baselines finish with this identity.
 double EntropyFromXLog2XSum(double sum_xlog2x, uint64_t total);
-
-/// The change in sum_i x_i*log2(x_i) when one count increments from
-/// `old_count` to old_count + 1. This is the per-sample update of the
-/// incremental counters and the hottest scalar operation in every
-/// sampling query, so small counts are served from a precomputed table
-/// (built once per process) instead of two log2 calls.
-double XLog2XIncrement(uint64_t old_count);
-
-namespace internal_math {
-/// Size of the precomputed increment table (counts below this are table
-/// lookups). Exposed for tests.
-inline constexpr uint64_t kXLog2XTableSize = 1 << 20;
-}  // namespace internal_math
 
 /// Entropy (in bits) of a probability mass function. Entries <= 0 are
 /// ignored. The pmf is not required to be normalized; it is normalized

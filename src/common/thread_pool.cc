@@ -87,12 +87,11 @@ ThreadPool::~ThreadPool() {
   for (auto& worker : workers_) worker.join();
 }
 
-std::future<void> ThreadPool::Submit(std::function<void()> task) {
+void ThreadPool::Enqueue(std::function<void()> body) {
   // Ownership transfers to the raw queue/deque cells here and is
   // reclaimed by RunTask; unique_ptr brackets both ends.
   auto owned = std::make_unique<Task>();
-  owned->fn = std::packaged_task<void()>(std::move(task));
-  std::future<void> future = owned->fn.get_future();
+  owned->fn = std::move(body);
   Task* queued = owned.release();
   if (mode_ == PoolMode::kWorkStealing && tls_pool == this &&
       deques_[tls_worker_index]->Push(queued)) {
@@ -102,10 +101,9 @@ std::future<void> ThreadPool::Submit(std::function<void()> task) {
     pending_.fetch_add(1);
     if (queue_depth_ != nullptr) queue_depth_->Add(1);
     cv_.NotifyOne();
-    return future;
+    return;
   }
   SubmitToInjector(queued);
-  return future;
 }
 
 void ThreadPool::SubmitToInjector(Task* task) {
@@ -136,16 +134,18 @@ std::vector<ThreadPool::WorkerStats> ThreadPool::GetWorkerStats() const {
 
 void ThreadPool::RunTask(Task* task) {
   const std::unique_ptr<Task> owned(task);  // reclaim from the queues
-  WorkerCell& cell = worker_cells_[StatsSlot()];
   if (queue_depth_ != nullptr) {
     queue_depth_->Add(-1);
     tasks_total_->Increment();
     wait_ms_->Observe(task->wait.ElapsedMillis());
   }
-  Stopwatch run;
-  task->fn();
+  task->fn();  // records its own run time (Submit's RunRecorder)
+}
+
+ThreadPool::RunRecorder::~RunRecorder() {
   const double run_ms = run.ElapsedMillis();
-  if (run_ms_ != nullptr) run_ms_->Observe(run_ms);
+  if (pool.run_ms_ != nullptr) pool.run_ms_->Observe(run_ms);
+  WorkerCell& cell = pool.worker_cells_[pool.StatsSlot()];
   cell.run_ns.fetch_add(static_cast<uint64_t>(run_ms * 1e6),
                         std::memory_order_relaxed);
   cell.tasks.fetch_add(1, std::memory_order_relaxed);

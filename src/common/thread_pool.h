@@ -35,6 +35,7 @@
 #include <queue>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/mutex.h"
@@ -60,8 +61,8 @@ bool ParsePoolMode(const std::string& text, PoolMode* out);
 /// Inverse of ParsePoolMode, for stats/metadata reporting.
 const char* PoolModeName(PoolMode mode);
 
-/// A work-queue thread pool. Tasks are std::function<void()>; Submit
-/// returns a future for completion/exception propagation.
+/// A work-queue thread pool. Submit returns a future for the task's
+/// result or exception.
 ///
 /// ParallelFor is reentrant: a task running on the pool may itself call
 /// ParallelFor. The blocked caller helps drain queued work (popping its
@@ -121,10 +122,24 @@ class ThreadPool {
   /// helper thread (ParallelFor callers draining work while they wait).
   std::vector<WorkerStats> GetWorkerStats() const;
 
-  /// Enqueues a task; the future resolves when it finishes. Worker
-  /// threads of this pool push to their own deque (stealing mode);
-  /// external threads go through the shared injector.
-  std::future<void> Submit(std::function<void()> task) REQUIRES(!mutex_);
+  /// Enqueues `fn`; the future resolves to its result (or exception)
+  /// when it finishes. The task's run time and count are recorded before
+  /// the future becomes ready, so a caller returning from get() sees
+  /// them in GetWorkerStats. Worker threads of this pool push to their
+  /// own deque (stealing mode); external threads go through the shared
+  /// injector.
+  template <typename Fn>
+  std::future<std::invoke_result_t<Fn&>> Submit(Fn fn) REQUIRES(!mutex_) {
+    using R = std::invoke_result_t<Fn&>;
+    auto work = std::make_shared<std::packaged_task<R()>>(
+        [this, fn = std::move(fn)]() mutable -> R {
+          const RunRecorder record{*this, Stopwatch()};
+          return fn();
+        });
+    std::future<R> future = work->get_future();
+    Enqueue([work] { (*work)(); });
+    return future;
+  }
 
   /// Runs fn(i) for i in [begin, end) across the pool and blocks until all
   /// iterations complete. Iterations are distributed in contiguous chunks.
@@ -138,8 +153,18 @@ class ThreadPool {
   /// A queued unit of work. `wait` starts at enqueue time so the task
   /// wait histogram measures time spent in the queue.
   struct Task {
-    std::packaged_task<void()> fn;
+    std::function<void()> fn;
     Stopwatch wait;
+  };
+
+  /// Times one task body. The destructor -- run on normal and
+  /// exceptional exit alike, before the packaged task publishes the
+  /// result -- adds the time to the calling thread's worker counters and,
+  /// when instrumented, the run histogram.
+  struct RunRecorder {
+    ~RunRecorder();
+    ThreadPool& pool;
+    const Stopwatch run;
   };
 
   /// Chase–Lev-style bounded work-stealing deque over heap Task
@@ -224,11 +249,15 @@ class ThreadPool {
   /// Steal sweep: one round over every worker deque except `self`.
   Task* TrySteal(const StealDeque* self);
 
+  /// Queues a type-erased task body: on the calling worker's own deque
+  /// when possible, else through the injector.
+  void Enqueue(std::function<void()> body) REQUIRES(!mutex_);
+
   /// Enqueues in the shared injector and wakes a worker.
   void SubmitToInjector(Task* task) REQUIRES(!mutex_);
 
-  /// Runs a heap task, feeding the wait/run histograms when the pool is
-  /// instrumented and the per-worker run counters always, and frees it.
+  /// Runs a heap task, feeding the queue-depth gauge and wait histogram
+  /// when the pool is instrumented, and frees it.
   void RunTask(Task* task);
 
   /// Index into worker_cells_ for the calling thread: its worker slot on

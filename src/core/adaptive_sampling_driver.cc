@@ -60,12 +60,11 @@ void RunRoundTask(Scorer& scorer, const RoundTask& task,
 // Parallel path: decompose into (candidate x shard) tasks -- each works
 // one shard's sub-slice against (candidate, shard)-private state -- fan
 // them out, then reduce each shardable candidate in FinalizeCandidate
-// (frequency counters merge by exact integer addition in ascending
-// shard order; joint counters replay the gathered codes in slice
-// order). Both paths drive the counters through identical update
-// sequences, so intervals are byte-identical at any thread count and
-// any shard count; every cross-candidate reduction afterwards runs
-// serially in Decide.
+// (marginal and joint counters alike merge by exact integer addition in
+// ascending shard order). Both paths reach identical counts, and every
+// entropy is a pure function of the counts, so intervals are
+// byte-identical at any thread count and any shard count; every
+// cross-candidate reduction afterwards runs serially in Decide.
 void UpdateActiveCandidates(Scorer& scorer,
                             const std::pmr::vector<size_t>& active,
                             const std::vector<uint32_t>& order,

@@ -1,7 +1,6 @@
 #include "src/core/pair_counter.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "src/common/math.h"
 
@@ -16,38 +15,19 @@ PairCounter::PairCounter(uint32_t support_a, uint32_t support_b,
       is_dense_(cells_ <= dense_limit && cells_ <= kImmediateDenseCells),
       memory_(memory != nullptr ? memory : std::pmr::get_default_resource()),
       dense_(memory_),
-      sparse_(is_dense_ ? 0 : 64, memory_) {
+      sparse_(is_dense_ ? 0 : 64, memory_),
+      sorted_(memory_) {
   if (is_dense_) dense_.assign(cells_, 0);
 }
 
-void PairCounter::Bump(uint64_t& slot) {
-  const uint64_t old_count = slot++;
-  if (old_count == 0) ++distinct_pairs_;
-  sum_xlog2x_ += XLog2XIncrement(old_count);
-  ++sample_count_;
-}
-
-void PairCounter::AddSparse(ValueCode a, ValueCode b) {
-  assert(b < support_b_);
-  Bump(sparse_[Key(a, b)]);
+void PairCounter::AddToKey(uint64_t key, uint64_t add) {
+  uint64_t& slot = is_dense_ ? dense_[key] : sparse_[key];
+  if (slot == 0) ++distinct_pairs_;
+  slot += add;
+  sample_count_ += add;
   // Migrate once the hash holds enough distinct pairs that the dense
   // array's O(1)-no-probing updates pay for its allocation. 1/8 of the
   // domain is the break-even load observed in the micro benches.
-  if (cells_ <= dense_limit_ && distinct_pairs_ * 8 >= cells_) {
-    MigrateToDense();
-  }
-}
-
-void PairCounter::MergeKey(uint64_t key, uint64_t add) {
-  uint64_t& slot = is_dense_ ? dense_[key] : sparse_[key];
-  const uint64_t old_count = slot;
-  if (old_count == 0) ++distinct_pairs_;
-  slot = old_count + add;
-  // One jump instead of `add` unit increments; counts stay exact, the
-  // running sum absorbs the whole step.
-  sum_xlog2x_ += XLog2X(static_cast<double>(old_count + add)) -
-                 XLog2X(static_cast<double>(old_count));
-  sample_count_ += add;
   if (!is_dense_ && cells_ <= dense_limit_ && distinct_pairs_ * 8 >= cells_) {
     MigrateToDense();
   }
@@ -57,11 +37,11 @@ void PairCounter::Merge(const PairCounter& other) {
   assert(other.support_b_ == support_b_ && other.cells_ == cells_);
   if (other.is_dense_) {
     for (uint64_t key = 0; key < other.cells_; ++key) {
-      if (other.dense_[key] != 0) MergeKey(key, other.dense_[key]);
+      if (other.dense_[key] != 0) AddToKey(key, other.dense_[key]);
     }
   } else {
     other.sparse_.ForEach(
-        [&](uint64_t key, uint64_t add) { MergeKey(key, add); });
+        [&](uint64_t key, uint64_t add) { AddToKey(key, add); });
   }
 }
 
@@ -73,7 +53,6 @@ void PairCounter::Reset() {
   }
   sample_count_ = 0;
   distinct_pairs_ = 0;
-  sum_xlog2x_ = 0.0;
 }
 
 void PairCounter::MigrateToDense() {
@@ -87,7 +66,15 @@ void PairCounter::MigrateToDense() {
 }
 
 double PairCounter::SampleJointEntropy() const {
-  return EntropyFromXLog2XSum(sum_xlog2x_, sample_count_);
+  if (is_dense_) {
+    return EntropyFromCounts(dense_.data(), dense_.size(), sample_count_);
+  }
+  // Same nonzero counts, same ascending key order as the dense scan.
+  sorted_.clear();
+  sparse_.ForEach([&](uint64_t key, uint64_t) { sorted_.push_back(key); });
+  std::sort(sorted_.begin(), sorted_.end());
+  for (uint64_t& entry : sorted_) entry = *sparse_.Find(entry);
+  return EntropyFromCounts(sorted_.data(), sorted_.size(), sample_count_);
 }
 
 uint64_t PairCounter::count(ValueCode a, ValueCode b) const {

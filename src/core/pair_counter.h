@@ -1,19 +1,21 @@
-// PairCounter: incremental joint-value statistics for a column pair,
-// the mutual-information analogue of FrequencyCounter.
+// PairCounter: incremental joint-value counts for a column pair, the
+// mutual-information analogue of FrequencyCounter.
 //
-// Maintains counts of (code_a, code_b) pairs plus the running
-// sum m_{ij} log2 m_{ij}, so the sample joint entropy H_S(a, b) is O(1)
-// after each batch. Storage is adaptive: tiny domains use a dense
-// u_a*u_b array immediately; larger domains start with the
-// open-addressing FlatHashMap (an MI query builds one counter per
-// candidate, and most candidates are pruned after a few thousand
-// samples, so eagerly zeroing h dense arrays would dominate the query)
-// and migrate to the dense layout once enough distinct pairs accumulate
-// to make it worthwhile -- provided the domain fits under `dense_limit`.
+// Holds integer counts of (code_a, code_b) pairs only; the sample joint
+// entropy H_S(a, b) is derived on demand by one scan of the counts in
+// ascending pair-key order, exactly as FrequencyCounter derives H_S(a).
+// Storage is adaptive: tiny domains use a dense u_a*u_b array
+// immediately; larger domains start with the open-addressing FlatHashMap
+// (an MI query builds one counter per candidate, and most candidates are
+// pruned after a few thousand samples, so eagerly zeroing h dense arrays
+// would dominate the query) and migrate to the dense layout once enough
+// distinct pairs accumulate to make it worthwhile -- provided the domain
+// fits under `dense_limit`.
 
 #ifndef SWOPE_CORE_PAIR_COUNTER_H_
 #define SWOPE_CORE_PAIR_COUNTER_H_
 
+#include <cassert>
 #include <cstdint>
 #include <memory_resource>
 #include <vector>
@@ -32,8 +34,9 @@ class PairCounter {
   /// `support_a`, `support_b`: supports of the two attributes.
   /// `dense_limit`: maximum u_a*u_b (in cells) the dense layout may use.
   /// Both layouts allocate from `memory` (default: the global heap) --
-  /// including the dense array a later migration builds -- so an
-  /// arena-backed counter never touches the heap.
+  /// including the dense array a later migration builds and the sparse
+  /// layout's entropy scratch -- so an arena-backed counter never
+  /// touches the heap.
   PairCounter(uint32_t support_a, uint32_t support_b,
               uint64_t dense_limit = 1ULL << 20,
               std::pmr::memory_resource* memory = nullptr);
@@ -47,33 +50,33 @@ class PairCounter {
 
   /// Absorbs one sampled pair.
   void Add(ValueCode a, ValueCode b) {
+    assert(b < support_b_);
     if (is_dense_) {
-      Bump(dense_[Key(a, b)]);
+      if (dense_[Key(a, b)]++ == 0) ++distinct_pairs_;
+      ++sample_count_;
     } else {
-      AddSparse(a, b);
+      AddToKey(Key(a, b), 1);
     }
   }
 
-  /// Absorbs `count` pre-decoded pairs (a[i], b[i]), in order. Callers
-  /// gather both columns' slices through ColumnView first; preserving the
-  /// per-index order keeps results bit-identical to per-row Add calls.
+  /// Absorbs `count` pre-decoded pairs (a[i], b[i]). Callers gather both
+  /// columns' slices through ColumnView first.
   void AddCodes(const ValueCode* a, const ValueCode* b, uint64_t count) {
     for (uint64_t i = 0; i < count; ++i) Add(a[i], b[i]);
   }
 
-  /// Sample joint entropy H_S(a, b) in bits.
+  /// Sample joint entropy H_S(a, b) in bits (0 when no samples): the
+  /// nonzero counts summed in ascending key order by EntropyFromCounts
+  /// (the sparse layout sorts its keys into scratch first), so equal
+  /// counts give the bitwise-same entropy whatever the layout, insertion
+  /// order or shard partition. Not safe to call concurrently.
   double SampleJointEntropy() const;
 
   /// Adds `other`'s counts into this counter. `other` must have been
   /// built over the same key space (same supports); its layout (dense or
-  /// sparse) is irrelevant. Pair counts, the sample count, and the
-  /// distinct-pair count merge by exact integer addition, so whole-slice
-  /// counting and any shard-partitioned count-then-merge reach identical
-  /// counts (pinned by shard_merge_property_test). The running
-  /// x*log2(x) sum is updated per merged key, so merged entropies may
-  /// differ from a sample-by-sample build in the last ulps -- which is
-  /// why the query hot path replays samples in slice order instead of
-  /// merging (docs/SHARDING.md).
+  /// sparse) is irrelevant. Merging is exact integer addition, so
+  /// whole-slice counting and any shard-partitioned count-then-merge
+  /// reach identical counts and entropy (shard_merge_property_test).
   void Merge(const PairCounter& other);
 
   /// Forgets all counts, keeping the domain and (for a migrated counter)
@@ -87,9 +90,7 @@ class PairCounter {
   uint64_t Key(ValueCode a, ValueCode b) const {
     return static_cast<uint64_t>(a) * support_b_ + b;
   }
-  void Bump(uint64_t& slot);
-  void AddSparse(ValueCode a, ValueCode b);
-  void MergeKey(uint64_t key, uint64_t add);
+  void AddToKey(uint64_t key, uint64_t add);
   void MigrateToDense();
 
   uint32_t support_b_;
@@ -99,9 +100,11 @@ class PairCounter {
   std::pmr::memory_resource* memory_;
   std::pmr::vector<uint64_t> dense_;
   FlatHashMap<uint64_t, uint64_t> sparse_;
+  // Sparse-layout entropy scratch: the keys, sorted, then overwritten by
+  // their counts. Kept across calls so steady-state rounds reuse it.
+  mutable std::pmr::vector<uint64_t> sorted_;
   uint64_t sample_count_ = 0;
   uint64_t distinct_pairs_ = 0;
-  double sum_xlog2x_ = 0.0;
 };
 
 }  // namespace swope

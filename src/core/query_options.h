@@ -129,7 +129,7 @@ struct QueryOptions {
   /// Observability hook: when non-null, the driver and scorers attribute
   /// CPU time to the fixed stage taxonomy (src/obs/profiler.h) at
   /// (candidate x shard)-task granularity -- gather, count, shard-merge,
-  /// replay, interval-update, finalize. Affects no answer bytes, so it
+  /// interval-update, finalize. Affects no answer bytes, so it
   /// is ignored by ResultCache canonicalization. When null (the default)
   /// each would-be stage timer costs one branch and no clock read. Not
   /// owned; the caller keeps the pointee alive for the query's duration.

@@ -50,6 +50,19 @@ constexpr uint64_t kJointSaltBit = uint64_t{1} << 32;
 // the ordinary whole-slice update over this zero-length slice.
 const std::vector<uint32_t> kEmptySlice;
 
+// Merges a candidate's per-shard deltas into `total` in ascending shard
+// order and resets them. Merging is exact integer addition, so the merged
+// counts equal the whole-slice counts exactly.
+template <typename Counter>
+void MergeShardDeltas(const ShardSlicePartition& partition,
+                      std::pmr::vector<Counter>& deltas, Counter& total) {
+  for (size_t s = 0; s < partition.num_shards(); ++s) {
+    if (partition.local_rows(s).empty()) continue;
+    total.Merge(deltas[s]);
+    deltas[s].Reset();
+  }
+}
+
 }  // namespace
 
 EntropyScorer::EntropyScorer(const Table& table, const QueryOptions& options)
@@ -142,15 +155,9 @@ void EntropyScorer::UpdateCandidateShard(size_t c, size_t shard,
 void EntropyScorer::FinalizeCandidate(size_t c,
                                       const ShardSlicePartition& partition,
                                       uint64_t m) {
-  // Ascending shard order; merging is exact integer addition, so the
-  // merged counts equal the whole-slice counts exactly.
   {
     StageTimer timer(profiler_, Stage::kShardMerge);
-    for (size_t s = 0; s < partition.num_shards(); ++s) {
-      if (partition.local_rows(s).empty()) continue;
-      counters_[c].Merge(deltas_[c][s]);
-      deltas_[c][s].Reset();
-    }
+    MergeShardDeltas(partition, deltas_[c], counters_[c]);
   }
   // Empty-slice update: absorbs nothing, evaluates the merged counts
   // through the same code path (and machine code) as a serial round, so
@@ -181,6 +188,7 @@ MiScorer::MiScorer(const Table& table, size_t target,
       table_(table),
       target_col_(table.column(target)),
       profiler_(options.profiler),
+      dense_pair_limit_(options.dense_pair_limit),
       target_view_(table.column(target)),
       views_(memory_),
       target_counter_(UsesSketchPath(table.column(target).support(), options)
@@ -222,7 +230,7 @@ MiScorer::MiScorer(const Table& table, size_t target,
       ++sketch_candidates_;
     } else {
       counter.joint = PairCounter(target_col_.support(), support,
-                                  options.dense_pair_limit, memory_);
+                                  dense_pair_limit_, memory_);
     }
     counters_.push_back(std::move(counter));
   }
@@ -318,47 +326,50 @@ MiInterval MiScorer::UpdateMi(size_t c, const std::vector<uint32_t>& order,
 void MiScorer::PrepareSharding(size_t num_shards) {
   for (size_t c = 0; c < counters_.size(); ++c) {
     if (!CandidateShardable(c)) continue;
-    counters_[c].shard_codes.resize(num_shards);
+    CandidateCounters& counter = counters_[c];
+    const uint32_t support = views_[c].support();
+    counter.marginal_deltas.reserve(num_shards);
+    counter.joint_deltas.reserve(num_shards);
+    while (counter.marginal_deltas.size() < num_shards) {
+      counter.marginal_deltas.emplace_back(support, memory_);
+      counter.joint_deltas.emplace_back(target_col_.support(), support,
+                                        dense_pair_limit_, memory_);
+    }
   }
 }
 
 void MiScorer::UpdateCandidateShard(size_t c, size_t shard,
                                     const ShardSlicePartition& partition) {
-  // Gather only: decode this shard's rows of the candidate column into
-  // the (candidate, shard)-private buffer. Counting happens serially in
-  // FinalizeCandidate -- the joint counter's running x*log2(x) sum is
-  // sample-order-sensitive in its last ulps, so the parallel win here is
-  // the decode, and the per-candidate replay parallelizes across
-  // candidates.
   CandidateCounters& counter = counters_[c];
   const std::vector<uint32_t>& rows = partition.local_rows(shard);
-  StageTimer timer(profiler_, Stage::kGather);
-  views_[c].GatherShard(shard, rows.data(), rows.size(),
-                        counter.shard_codes[shard]);
+  const std::vector<uint32_t>& pos = partition.slice_pos(shard);
+  CodeScratchArena::Lease lease(scratch_);
+  const ValueCode* codes;
+  {
+    StageTimer timer(profiler_, Stage::kGather);
+    codes =
+        views_[c].GatherShard(shard, rows.data(), rows.size(), lease.buffer());
+  }
+  StageTimer timer(profiler_, Stage::kCount);
+  counter.marginal_deltas[shard].AddCodes(codes, rows.size());
+  PairCounter& joint = counter.joint_deltas[shard];
+  for (size_t i = 0; i < rows.size(); ++i) {
+    joint.Add(target_slice_[pos[i]], codes[i]);
+  }
 }
 
 void MiScorer::FinalizeCandidate(size_t c,
                                  const ShardSlicePartition& partition,
                                  uint64_t m) {
-  // Scatter the per-shard gathers back into slice order, then feed the
-  // identical AddCodes calls a serial round would make. The counters --
-  // integer counts and the joint's order-sensitive running sum alike --
-  // evolve bit-identically to the serial path, and the empty-slice
-  // update below re-derives the interval through the same composition
-  // code (virtual dispatch routes NmiScorer through its NMI
-  // normalization). Bitwise-identical answers by construction.
+  // Same reduction as EntropyScorer::FinalizeCandidate: exact integer
+  // merges in ascending shard order, then an empty-slice update that
+  // evaluates the merged counts through the serial composition code
+  // (virtual dispatch routes NmiScorer through its NMI normalization).
   CandidateCounters& counter = counters_[c];
-  std::pmr::vector<ValueCode>& replay = counter.replay;
   {
-    StageTimer timer(profiler_, Stage::kReplay);
-    replay.resize(partition.slice_size());
-    for (size_t s = 0; s < partition.num_shards(); ++s) {
-      const std::vector<uint32_t>& pos = partition.slice_pos(s);
-      const std::pmr::vector<ValueCode>& codes = counter.shard_codes[s];
-      for (size_t i = 0; i < pos.size(); ++i) replay[pos[i]] = codes[i];
-    }
-    counter.marginal.AddCodes(replay.data(), replay.size());
-    counter.joint.AddCodes(target_slice_.data(), replay.data(), replay.size());
+    StageTimer timer(profiler_, Stage::kShardMerge);
+    MergeShardDeltas(partition, counter.marginal_deltas, counter.marginal);
+    MergeShardDeltas(partition, counter.joint_deltas, counter.joint);
   }
   UpdateCandidate(c, kEmptySlice, 0, 0, m);
 }

@@ -149,8 +149,8 @@ class MiScorer : public Scorer {
     explicit CandidateCounters(std::pmr::memory_resource* memory)
         : marginal(0, memory),
           joint(0, 0, 1ULL << 20, memory),
-          shard_codes(memory),
-          replay(memory) {}
+          marginal_deltas(memory),
+          joint_deltas(memory) {}
 
     FrequencyCounter marginal;
     PairCounter joint;
@@ -159,18 +159,16 @@ class MiScorer : public Scorer {
     // engaged whenever either marginal is sketched.
     std::unique_ptr<SketchFrequencyProvider> marginal_sketch;
     std::unique_ptr<SketchFrequencyProvider> joint_sketch;
-    // Shard-task scratch (empty on the sketch path; sized by
-    // PrepareSharding). Shard tasks only *gather*: shard_codes[s] holds
-    // the candidate codes of the rows routed to shard s, aligned with
-    // the partition's slice_pos(s). FinalizeCandidate scatters them back
-    // into `replay` in slice order and feeds the serial AddCodes path,
-    // so the counters -- including the joint counter's order-sensitive
-    // running x*log2(x) sum -- evolve bit-identically to a serial round
-    // (docs/SHARDING.md).
-    std::pmr::vector<std::pmr::vector<ValueCode>> shard_codes;
-    std::pmr::vector<ValueCode> replay;
+    // Per-shard delta counters for the shard-decomposed rounds (empty on
+    // the sketch path; sized by PrepareSharding), merged into the
+    // counters above exactly as EntropyScorer merges its deltas.
+    std::pmr::vector<FrequencyCounter> marginal_deltas;
+    std::pmr::vector<PairCounter> joint_deltas;
   };
 
+  // QueryOptions::dense_pair_limit, for the joint deltas PrepareSharding
+  // builds.
+  const uint64_t dense_pair_limit_;
   ColumnView target_view_;
   std::pmr::vector<ColumnView> views_;
   FrequencyCounter target_counter_;
@@ -178,8 +176,9 @@ class MiScorer : public Scorer {
   EntropyInterval target_interval_;
   // The round's gathered target slice: target_slice_[i] is the target
   // code at order[begin + i]. Written once per round in BeginRound
-  // (serial), read by every UpdateCandidate (the pool's fork provides the
-  // happens-before edge).
+  // (serial), read by every UpdateCandidate and shard task -- the latter
+  // through the partition's slice positions (the pool's fork provides
+  // the happens-before edge).
   std::pmr::vector<ValueCode> target_slice_;
   std::pmr::vector<CandidateCounters> counters_;
   // See EntropyScorer::scratch_.

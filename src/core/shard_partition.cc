@@ -6,7 +6,6 @@ void ShardSlicePartition::Build(const std::vector<uint32_t>& order,
                                 uint64_t begin, uint64_t end,
                                 uint64_t shard_size, size_t num_shards) {
   shards_.resize(num_shards);
-  slice_size_ = end - begin;
   for (Shard& shard : shards_) {
     shard.local_rows.clear();
     shard.slice_pos.clear();

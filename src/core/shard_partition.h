@@ -10,11 +10,10 @@
 // target codes (scorers.cc). Buffers are reused across rounds, so
 // steady-state partitioning allocates nothing.
 //
-// Partitioning only reorders which task gathers which row; reductions
-// either merge integer counts in fixed shard order (frequency counters)
-// or scatter the gathered codes back into slice order and replay them
-// through the serial counting path (joint counters), so answers are
-// bitwise invariant to the shard count (docs/SHARDING.md).
+// Partitioning only reorders which task counts which row; the reduction
+// merges integer counts in fixed shard order (marginal and joint
+// counters alike), and entropies are pure functions of the counts, so
+// answers are bitwise invariant to the shard count (docs/SHARDING.md).
 
 #ifndef SWOPE_CORE_SHARD_PARTITION_H_
 #define SWOPE_CORE_SHARD_PARTITION_H_
@@ -36,8 +35,6 @@ class ShardSlicePartition {
              uint64_t end, uint64_t shard_size, size_t num_shards);
 
   size_t num_shards() const { return shards_.size(); }
-  /// Length of the partitioned slice (end - begin of the last Build).
-  uint64_t slice_size() const { return slice_size_; }
   /// Shard-local row indices of the slice rows routed to shard `s`
   /// (feed to ColumnView::GatherShard).
   const std::vector<uint32_t>& local_rows(size_t s) const {
@@ -54,7 +51,6 @@ class ShardSlicePartition {
     std::vector<uint32_t> slice_pos;
   };
   std::vector<Shard> shards_;
-  uint64_t slice_size_ = 0;
 };
 
 }  // namespace swope

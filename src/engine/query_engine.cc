@@ -298,15 +298,14 @@ Result<QueryResponse> QueryEngine::Run(const QuerySpec& spec,
 
 std::future<Result<QueryResponse>> QueryEngine::Submit(
     QuerySpec spec, const CancellationToken* cancel) {
-  auto promise = std::make_shared<std::promise<Result<QueryResponse>>>();
-  std::future<Result<QueryResponse>> future = promise->get_future();
   // The lambda runs on the executor with no admission lock held; annotate
-  // so the negative-capability analysis accepts the nested Run call.
-  pool_.Submit([this, promise, spec = std::move(spec),
-                cancel]() REQUIRES(!admission_mutex_) {
-    promise->set_value(Run(spec, cancel));
-  });
-  return future;
+  // so the negative-capability analysis accepts the nested Run call. The
+  // pool's future resolves only after the executor recorded the task's
+  // run time, so counters read after get() include this query.
+  return pool_.Submit(
+      [this, spec = std::move(spec), cancel]() REQUIRES(!admission_mutex_) {
+        return Run(spec, cancel);
+      });
 }
 
 Result<QueryResponse> QueryEngine::Execute(const DatasetHandle& dataset,

@@ -42,11 +42,12 @@ enum class Stage : uint8_t {
   /// Histogram counting over gathered codes (FrequencyCounter /
   /// PairCounter AddCodes/AddPairs, sketch absorbs).
   kCount,
-  /// Merging per-shard FrequencyCounter deltas in ascending shard order
-  /// (the entropy-side reduction).
+  /// Merging per-shard FrequencyCounter / PairCounter deltas in
+  /// ascending shard order (the entropy and MI/NMI reduction alike).
   kShardMerge,
-  /// Scatter-and-replay of shard-gathered codes through the serial
-  /// AddCodes stream (the MI/NMI-side reduction).
+  /// Retired: nothing records it, so replies (which omit zero-call
+  /// stages) never show it. It stays declared because consumers size
+  /// per-stage tables by kNumStages, the benchmark driver among them.
   kReplay,
   /// Interval arithmetic: lambda, Lemma-1 bias, interval composition.
   kIntervalUpdate,

@@ -4,6 +4,7 @@
 
 #include "src/common/random.h"
 #include "src/core/entropy.h"
+#include "src/core/frequency_counter.h"
 #include "src/datagen/generator.h"
 #include "src/table/column_view.h"
 #include "src/table/shuffle.h"
@@ -20,28 +21,31 @@ TEST(PairCounterTest, SelectsDenseForSmallProduct) {
 
 TEST(PairCounterTest, MigratesSparseToDenseUnderLoad) {
   // 128*128 = 16384 cells > kImmediateDenseCells, so the counter starts
-  // sparse; filling an eighth of the domain triggers migration, and all
-  // statistics must survive it.
+  // sparse; filling an eighth of the domain triggers migration midway,
+  // and all statistics must survive it. A never-migrating counter fed
+  // the same stream is the reference; the joint entropy must match it
+  // bitwise at every checkpoint, before and after the migration.
   PairCounter counter(128, 128, /*dense_limit=*/1 << 20);
+  PairCounter reference(128, 128, /*dense_limit=*/1);
   ASSERT_FALSE(counter.is_dense());
   Rng rng(5);
-  std::vector<std::pair<ValueCode, ValueCode>> added;
-  for (int i = 0; i < 8000; ++i) {
+  bool checked_sparse = false;
+  for (int i = 1; i <= 8000; ++i) {
     const auto a = static_cast<ValueCode>(rng.UniformU64(128));
     const auto b = static_cast<ValueCode>(rng.UniformU64(128));
     counter.Add(a, b);
-    added.emplace_back(a, b);
+    reference.Add(a, b);
+    if (i % 250 == 0) {
+      checked_sparse |= !counter.is_dense();
+      ASSERT_EQ(counter.SampleJointEntropy(), reference.SampleJointEntropy())
+          << "after " << i << " samples, dense=" << counter.is_dense();
+    }
   }
+  EXPECT_TRUE(checked_sparse);
   EXPECT_TRUE(counter.is_dense());
-  EXPECT_EQ(counter.sample_count(), 8000u);
-
-  // Replay into a never-migrating counter and compare.
-  PairCounter reference(128, 128, /*dense_limit=*/1);
-  for (const auto& [a, b] : added) reference.Add(a, b);
   ASSERT_FALSE(reference.is_dense());
+  EXPECT_EQ(counter.sample_count(), 8000u);
   EXPECT_EQ(counter.distinct_pairs(), reference.distinct_pairs());
-  EXPECT_NEAR(counter.SampleJointEntropy(),
-              reference.SampleJointEntropy(), 1e-12);
   for (uint32_t a = 0; a < 128; a += 13) {
     for (uint32_t b = 0; b < 128; b += 11) {
       EXPECT_EQ(counter.count(a, b), reference.count(a, b));
@@ -92,11 +96,32 @@ TEST(PairCounterTest, DenseAndSparseAgree) {
   }
   EXPECT_EQ(dense.sample_count(), sparse.sample_count());
   EXPECT_EQ(dense.distinct_pairs(), sparse.distinct_pairs());
-  EXPECT_NEAR(dense.SampleJointEntropy(), sparse.SampleJointEntropy(),
-              1e-12);
+  // Both layouts scan the same nonzero counts in the same key order.
+  EXPECT_EQ(dense.SampleJointEntropy(), sparse.SampleJointEntropy());
   for (uint32_t i = 0; i < 6; ++i) {
     for (uint32_t j = 0; j < 9; ++j) {
       EXPECT_EQ(dense.count(i, j), sparse.count(i, j));
+    }
+  }
+}
+
+// A constant target (u_t = 1) makes every pair key equal the candidate
+// code, so H(t, a) must equal H(a) bitwise, in either layout.
+TEST(PairCounterTest, ConstantTargetJointEqualsMarginalBitwise) {
+  for (const uint32_t support : {9u, 5000u}) {
+    for (const uint64_t dense_limit : {uint64_t{1} << 20, uint64_t{1}}) {
+      SCOPED_TRACE(testing::Message()
+                   << "support=" << support << " limit=" << dense_limit);
+      auto a = GenerateColumn(ColumnSpec::Zipf("a", support, 1.1), 6000, 11);
+      ASSERT_TRUE(a.ok());
+      FrequencyCounter marginal(support);
+      PairCounter joint(1, support, dense_limit);
+      for (uint64_t r = 0; r < 6000; ++r) {
+        marginal.Add(a->code(r));
+        joint.Add(0, a->code(r));
+      }
+      EXPECT_EQ(joint.distinct_pairs(), marginal.distinct_seen());
+      EXPECT_EQ(joint.SampleJointEntropy(), marginal.SampleEntropy());
     }
   }
 }
@@ -141,8 +166,7 @@ TEST(PairCounterTest, AddCodesInBatchesMatchesOneShot) {
   oneshot.AddCodes(view_a.Gather(order, 0, 2000, sa),
                    view_b.Gather(order, 0, 2000, sb), 2000);
 
-  EXPECT_NEAR(batched.SampleJointEntropy(), oneshot.SampleJointEntropy(),
-              1e-12);
+  EXPECT_EQ(batched.SampleJointEntropy(), oneshot.SampleJointEntropy());
   EXPECT_EQ(batched.distinct_pairs(), oneshot.distinct_pairs());
 }
 

@@ -1,9 +1,10 @@
-// Property test for the shard reductions behind docs/SHARDING.md:
+// Property test for the shard reduction behind docs/SHARDING.md:
 // counting a sample shard-by-shard into per-shard delta counters and
-// reducing -- FrequencyCounter by ascending-shard Merge, PairCounter by
-// scatter-and-replay -- must reach exactly the state of whole-slice
-// counting. Covers every code width including 0 (support 1), ragged
-// last shards, empty shards, and both PairCounter layouts.
+// merging them in ascending shard order -- FrequencyCounter and
+// PairCounter alike -- must reach exactly the state of whole-slice
+// counting, entropies bitwise included. Covers every code width
+// including 0 (support 1), ragged last shards, empty shards, both
+// PairCounter layouts, and arbitrary insertion orders.
 
 #include <algorithm>
 #include <cstdint>
@@ -100,9 +101,8 @@ TEST(ShardMergeProperty, FrequencyCounterResetReuseAcrossRounds) {
 // PairCounter::Merge reaches exactly the integer state of whole-column
 // counting -- pair counts, sample count, distinct pairs -- for every
 // layout combination (dense/dense, sparse/sparse, sparse merged into
-// dense, and migrate-during-merge). The running x*log2(x) sum is only
-// guaranteed to a tolerance, which is why the query path replays
-// instead (next test).
+// dense, and migrate-during-merge). The joint entropy is a pure function
+// of the counts, so it matches bitwise.
 TEST(ShardMergeProperty, PairCounterMergeEqualsWholeColumnIntegerState) {
   struct Geometry {
     uint32_t support_a;
@@ -150,73 +150,97 @@ TEST(ShardMergeProperty, PairCounterMergeEqualsWholeColumnIntegerState) {
               << "pair (" << ca << ", " << cb << ")";
         }
       }
-      EXPECT_NEAR(whole.SampleJointEntropy(), merged.SampleJointEntropy(),
-                  1e-9);
+      EXPECT_EQ(whole.SampleJointEntropy(), merged.SampleJointEntropy());
     }
   }
 }
 
-// The production MI reduction: shard tasks gather codes alongside their
-// slice positions; the reducer scatters them back into slice order and
-// replays the serial AddCodes sequence. Because the replayed sequence is
-// sample-for-sample identical to the serial one, the whole counter state
-// -- including the order-sensitive running x*log2(x) sum -- matches
-// bitwise, for any shard size (ragged last shard included).
-TEST(ShardMergeProperty, PairCounterScatterReplayIsBitwiseIdentical) {
+// The production MI reduction: a shard task counts its rows into
+// (candidate, shard)-private deltas, pairing each candidate code with
+// the round's gathered target code through the partition's slice
+// positions; the reducer merges the deltas in ascending shard order.
+// The merged joint entropy equals whole-slice counting bitwise for any
+// shard size (ragged last shard included), any layout (immediately
+// dense, sparse-then-migrating, pinned sparse), any merge order, and
+// any order of inserting the slice.
+TEST(ShardMergeProperty, PairCounterShardPartitionAndOrderInvariant) {
+  struct Geometry {
+    uint32_t support_t;
+    uint32_t support_a;
+    uint64_t dense_limit;
+  };
+  const Geometry kGeometries[] = {
+      {16, 80, 1ULL << 20},  // 1280 cells: dense from the start
+      {80, 300, 1ULL << 20},  // 24000 cells: sparse, may migrate
+      {80, 300, 16},          // pinned sparse
+  };
   std::mt19937_64 rng(4203);
-  const uint32_t kRows = 1000;
-  for (const uint64_t shard_size : {1000ULL, 250ULL, 143ULL, 7ULL}) {
-    const size_t num_shards =
-        static_cast<size_t>((kRows + shard_size - 1) / shard_size);
-    SCOPED_TRACE(testing::Message()
-                 << "shard_size=" << shard_size << " shards=" << num_shards);
-    const std::vector<ValueCode> target = RandomCodes(rng, kRows, 16);
-    const std::vector<ValueCode> cand = RandomCodes(rng, kRows, 80);
+  const uint32_t kRows = 20000;
+  for (const Geometry& g : kGeometries) {
+    for (const uint64_t shard_size : {20000ULL, 5000ULL, 2861ULL, 97ULL}) {
+      const size_t num_shards =
+          static_cast<size_t>((kRows + shard_size - 1) / shard_size);
+      SCOPED_TRACE(testing::Message()
+                   << "support=" << g.support_t << "x" << g.support_a
+                   << " limit=" << g.dense_limit
+                   << " shard_size=" << shard_size);
+      const std::vector<ValueCode> target =
+          RandomCodes(rng, kRows, g.support_t);
+      const std::vector<ValueCode> cand = RandomCodes(rng, kRows, g.support_a);
 
-    // A sampled prefix of a random row permutation, as in the driver.
-    std::vector<uint32_t> order(kRows);
-    for (uint32_t i = 0; i < kRows; ++i) order[i] = i;
-    std::shuffle(order.begin(), order.end(), rng);
-    const uint64_t begin = 100;
-    const uint64_t end = 700;
+      // A sampled prefix of a random row permutation, as in the driver.
+      std::vector<uint32_t> order(kRows);
+      for (uint32_t i = 0; i < kRows; ++i) order[i] = i;
+      std::shuffle(order.begin(), order.end(), rng);
+      const uint64_t begin = 1000;
+      const uint64_t end = 13000;
 
-    ShardSlicePartition partition;
-    partition.Build(order, begin, end, shard_size, num_shards);
+      // Whole-slice reference: the serial round's gathered slices.
+      std::vector<ValueCode> target_slice;
+      std::vector<ValueCode> cand_slice;
+      for (uint64_t i = begin; i < end; ++i) {
+        target_slice.push_back(target[order[i]]);
+        cand_slice.push_back(cand[order[i]]);
+      }
+      PairCounter whole(g.support_t, g.support_a, g.dense_limit);
+      whole.AddCodes(target_slice.data(), cand_slice.data(),
+                     cand_slice.size());
 
-    // Serial reference: gather the slice in order, feed AddCodes once.
-    std::vector<ValueCode> target_slice;
-    std::vector<ValueCode> cand_slice;
-    for (uint64_t i = begin; i < end; ++i) {
-      target_slice.push_back(target[order[i]]);
-      cand_slice.push_back(cand[order[i]]);
-    }
-    PairCounter serial(16, 80);
-    serial.AddCodes(target_slice.data(), cand_slice.data(),
-                    cand_slice.size());
+      // Shard tasks: per-shard deltas, target codes via slice_pos.
+      ShardSlicePartition partition;
+      partition.Build(order, begin, end, shard_size, num_shards);
+      std::vector<PairCounter> deltas;
+      for (size_t s = 0; s < num_shards; ++s) {
+        deltas.emplace_back(g.support_t, g.support_a, g.dense_limit);
+        const std::vector<uint32_t>& rows = partition.local_rows(s);
+        const std::vector<uint32_t>& pos = partition.slice_pos(s);
+        for (size_t i = 0; i < rows.size(); ++i) {
+          deltas[s].Add(target_slice[pos[i]], cand[s * shard_size + rows[i]]);
+        }
+      }
+      PairCounter ascending(g.support_t, g.support_a, g.dense_limit);
+      for (size_t s = 0; s < num_shards; ++s) ascending.Merge(deltas[s]);
+      PairCounter descending(g.support_t, g.support_a, g.dense_limit);
+      for (size_t s = num_shards; s-- > 0;) descending.Merge(deltas[s]);
 
-    // Shard tasks gather; the reducer scatters into slice order by
-    // slice_pos and replays.
-    std::vector<ValueCode> replay(partition.slice_size());
-    for (size_t s = 0; s < partition.num_shards(); ++s) {
-      const std::vector<uint32_t>& rows = partition.local_rows(s);
-      const std::vector<uint32_t>& pos = partition.slice_pos(s);
-      for (size_t i = 0; i < rows.size(); ++i) {
-        const uint64_t global_row = s * shard_size + rows[i];
-        replay[pos[i]] = cand[global_row];
+      // The same slice inserted in a shuffled order.
+      std::vector<size_t> perm(target_slice.size());
+      for (size_t i = 0; i < perm.size(); ++i) perm[i] = i;
+      std::shuffle(perm.begin(), perm.end(), rng);
+      PairCounter shuffled(g.support_t, g.support_a, g.dense_limit);
+      for (size_t i : perm) shuffled.Add(target_slice[i], cand_slice[i]);
+
+      for (const PairCounter* other : {&ascending, &descending, &shuffled}) {
+        EXPECT_EQ(whole.sample_count(), other->sample_count());
+        EXPECT_EQ(whole.distinct_pairs(), other->distinct_pairs());
+        EXPECT_EQ(whole.SampleJointEntropy(), other->SampleJointEntropy());
       }
     }
-    PairCounter replayed(16, 80);
-    replayed.AddCodes(target_slice.data(), replay.data(), replay.size());
-
-    EXPECT_EQ(serial.sample_count(), replayed.sample_count());
-    EXPECT_EQ(serial.distinct_pairs(), replayed.distinct_pairs());
-    // Bitwise: the replay is the identical call sequence.
-    EXPECT_EQ(serial.SampleJointEntropy(), replayed.SampleJointEntropy());
   }
 }
 
 // Merging an empty counter is a no-op, and merging into an empty counter
-// copies the source's integer state exactly.
+// copies the source's state exactly.
 TEST(ShardMergeProperty, EmptyShardsAreNeutral) {
   std::mt19937_64 rng(4204);
   const std::vector<ValueCode> codes = RandomCodes(rng, 300, 5);
@@ -243,7 +267,7 @@ TEST(ShardMergeProperty, EmptyShardsAreNeutral) {
     for (uint32_t cb = 0; cb < 5; ++cb) {
       EXPECT_EQ(pair_whole.count(ca, cb), pair_merged.count(ca, cb));
     }
-  }
+  }  EXPECT_EQ(pair_whole.SampleJointEntropy(), pair_merged.SampleJointEntropy());
 }
 
 }  // namespace
