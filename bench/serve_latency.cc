@@ -1,10 +1,13 @@
 // Closed-loop serve latency: one client issuing entropy top-k and MI
 // top-k queries back-to-back against a QueryEngine, comparing owned
-// (heap-resident) storage with mmap-loaded SWPB columns. Both runs use
+// (heap-resident) storage with mmap-loaded SWPB columns, and the default
+// engine -- whose lone queries fan out across cores - 1 intra-query
+// threads -- with a serial one (intra_query_threads = 1). Every run uses
 // the pooled per-query arena (always on), so after the warmup queries
-// the core path allocates nothing and the p50/p99 gap isolates the
-// storage difference: borrowed words faulted from the page cache versus
-// heap-resident words. Caching is disabled so every query executes.
+// the core path allocates nothing and the p50/p99 gap between storage
+// modes isolates the storage difference: borrowed words faulted from the
+// page cache versus heap-resident words. Caching is disabled so every
+// query executes.
 
 #include <algorithm>
 #include <cstdint>
@@ -42,9 +45,11 @@ double Percentile(std::vector<double>& sorted_ms, double q) {
 // size the pooled arena and fault in the mapped pages), then `measured`
 // timed ones.
 LatencyResult RunClosedLoop(const std::string& path, bool mmap,
-                            QueryKind kind, int warmup, int measured) {
+                            size_t intra_threads, QueryKind kind, int warmup,
+                            int measured) {
   EngineConfig config;
   config.num_threads = 1;
+  config.intra_query_threads = intra_threads;
   config.result_cache_capacity = 0;
   QueryEngine engine(config);
   if (!engine
@@ -111,8 +116,11 @@ void Run(const BenchConfig& config) {
   const int measured = config.quick ? 8 : 32;
 
   std::cout << "## cdc\n\n";
-  ReportTable report({"query", "storage", "resident", "mapped", "p50 (ms)",
-                      "p99 (ms)", "QPS"});
+  ReportTable report({"query", "storage", "intra threads", "resident",
+                      "mapped", "p50 (ms)", "p99 (ms)", "QPS"});
+  // The default engine first, then the serial one it is compared with.
+  std::vector<size_t> intra_threads = {DefaultIntraQueryThreads()};
+  if (intra_threads[0] > 1) intra_threads.push_back(1);
   struct KindRow {
     QueryKind kind;
     const char* name;
@@ -120,13 +128,16 @@ void Run(const BenchConfig& config) {
   for (const KindRow& kr : {KindRow{QueryKind::kEntropyTopK, "entropy-top4"},
                             KindRow{QueryKind::kMiTopK, "mi-top4"}}) {
     for (const bool mmap : {false, true}) {
-      const LatencyResult r =
-          RunClosedLoop(path, mmap, kr.kind, warmup, measured);
-      report.AddRow({kr.name, mmap ? "mapped" : "owned",
-                     FormatMib(r.resident_bytes), FormatMib(r.mapped_bytes),
-                     ReportTable::FormatDouble(r.p50_ms, 3),
-                     ReportTable::FormatDouble(r.p99_ms, 3),
-                     ReportTable::FormatDouble(r.qps, 1)});
+      for (const size_t intra : intra_threads) {
+        const LatencyResult r =
+            RunClosedLoop(path, mmap, intra, kr.kind, warmup, measured);
+        report.AddRow({kr.name, mmap ? "mapped" : "owned",
+                       std::to_string(intra), FormatMib(r.resident_bytes),
+                       FormatMib(r.mapped_bytes),
+                       ReportTable::FormatDouble(r.p50_ms, 3),
+                       ReportTable::FormatDouble(r.p99_ms, 3),
+                       ReportTable::FormatDouble(r.qps, 1)});
+      }
     }
   }
   report.PrintMarkdown(std::cout);

@@ -42,6 +42,7 @@ class CAPABILITY("mutex") Mutex {
   bool try_lock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
+  friend class CondVar;
   std::mutex mu_;
 };
 
@@ -72,22 +73,30 @@ class CondVar {
   CondVar(const CondVar&) = delete;
   CondVar& operator=(const CondVar&) = delete;
 
-  void Wait(Mutex& mu) REQUIRES(mu) { cv_.wait(mu); }
+  void Wait(Mutex& mu) REQUIRES(mu) {
+    std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
+    cv_.wait(lock);
+    lock.release();  // the caller still holds `mu`
+  }
 
   template <typename Rep, typename Period>
   void WaitFor(Mutex& mu, std::chrono::duration<Rep, Period> timeout)
       REQUIRES(mu) {
-    cv_.wait_for(mu, timeout);
+    std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
+    cv_.wait_for(lock, timeout);
+    lock.release();
   }
 
   void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 
  private:
-  // condition_variable_any works with any BasicLockable, so it can release
-  // the annotated Mutex directly; the unlock/lock calls it makes live in
-  // system headers, where the analysis is silent by design.
-  std::condition_variable_any cv_;
+  // The plain condition_variable over Mutex's own std::mutex, adopted for
+  // the duration of a wait: unlike condition_variable_any it allocates
+  // nothing on construction, so a CondVar in a hot frame (ThreadPool's
+  // ParallelFor latch) stays off the heap. The lock calls it makes live
+  // in system headers, where the analysis is silent by design.
+  std::condition_variable cv_;
 };
 
 }  // namespace swope

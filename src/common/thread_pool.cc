@@ -1,6 +1,7 @@
 #include "src/common/thread_pool.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <exception>
 #include <memory>
@@ -17,6 +18,14 @@ namespace {
 // worker's own deque and RunOneTask pop it LIFO.
 thread_local ThreadPool* tls_pool = nullptr;
 thread_local size_t tls_worker_index = 0;
+
+// Steady-clock nanoseconds since the clock's epoch; never 0 in practice,
+// which WorkerCell::parked_since_ns uses as "awake".
+int64_t SteadyNowNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             SteadyNow().time_since_epoch())
+      .count();
+}
 
 }  // namespace
 
@@ -87,33 +96,42 @@ ThreadPool::~ThreadPool() {
   for (auto& worker : workers_) worker.join();
 }
 
-void ThreadPool::Enqueue(std::function<void()> body) {
-  // Ownership transfers to the raw queue/deque cells here and is
-  // reclaimed by RunTask; unique_ptr brackets both ends.
-  auto owned = std::make_unique<Task>();
-  owned->fn = std::move(body);
-  Task* queued = owned.release();
-  if (mode_ == PoolMode::kWorkStealing && tls_pool == this &&
-      deques_[tls_worker_index]->Push(queued)) {
-    // Nested submission from one of our own workers: deque push, no
-    // lock. The idle loop's timed wait bounds the (rare) missed-notify
-    // window, so the lock-free notify below is safe.
-    pending_.fetch_add(1);
-    if (queue_depth_ != nullptr) queue_depth_->Add(1);
-    cv_.NotifyOne();
-    return;
+void ThreadPool::Enqueue(Task* const* tasks, size_t count) {
+  if (queue_depth_ != nullptr) {
+    const auto now = SteadyNow();
+    for (size_t i = 0; i < count; ++i) tasks[i]->enqueued = now;
   }
-  SubmitToInjector(queued);
-}
-
-void ThreadPool::SubmitToInjector(Task* task) {
+  // Nested submissions from one of our own workers go to its deque, no
+  // lock needed for the push; external ones and deque overflow go to the
+  // injector.
+  size_t pushed = 0;
+  if (mode_ == PoolMode::kWorkStealing && tls_pool == this) {
+    StealDeque& own = *deques_[tls_worker_index];
+    while (pushed < count && own.Push(tasks[pushed])) ++pushed;
+  }
   {
     MutexLock lock(mutex_);
-    injector_.push(task);
+    for (size_t i = pushed; i < count; ++i) {
+      Task* task = tasks[i];
+      task->next = nullptr;
+      if (injector_tail_ != nullptr) {
+        injector_tail_->next = task;
+      } else {
+        injector_head_ = task;
+      }
+      injector_tail_ = task;
+    }
+    // Counted under mutex_: a worker checks pending_ under the same lock
+    // before it sleeps, so either it sees these tasks or it is already
+    // waiting when the notify below arrives.
+    pending_.fetch_add(static_cast<int64_t>(count));
   }
-  pending_.fetch_add(1);
-  if (queue_depth_ != nullptr) queue_depth_->Add(1);
-  cv_.NotifyOne();
+  if (queue_depth_ != nullptr) queue_depth_->Add(static_cast<int64_t>(count));
+  if (count >= workers_.size()) {
+    cv_.NotifyAll();
+  } else {
+    for (size_t i = 0; i < count; ++i) cv_.NotifyOne();
+  }
 }
 
 size_t ThreadPool::StatsSlot() const {
@@ -122,10 +140,18 @@ size_t ThreadPool::StatsSlot() const {
 
 std::vector<ThreadPool::WorkerStats> ThreadPool::GetWorkerStats() const {
   std::vector<WorkerStats> stats(worker_cells_.size());
+  // Under mutex_, a parked worker can neither wake nor credit its stretch
+  // to idle_ns, so the stretch so far is added here exactly once.
+  MutexLock lock(mutex_);
+  const int64_t now = SteadyNowNs();
   for (size_t i = 0; i < worker_cells_.size(); ++i) {
     const WorkerCell& cell = worker_cells_[i];
+    const int64_t parked_since =
+        cell.parked_since_ns.load(std::memory_order_relaxed);
     stats[i].run_ns = cell.run_ns.load(std::memory_order_relaxed);
-    stats[i].idle_ns = cell.idle_ns.load(std::memory_order_relaxed);
+    stats[i].idle_ns =
+        cell.idle_ns.load(std::memory_order_relaxed) +
+        (parked_since != 0 ? static_cast<uint64_t>(now - parked_since) : 0);
     stats[i].tasks = cell.tasks.load(std::memory_order_relaxed);
     stats[i].steals = cell.steals.load(std::memory_order_relaxed);
   }
@@ -133,13 +159,15 @@ std::vector<ThreadPool::WorkerStats> ThreadPool::GetWorkerStats() const {
 }
 
 void ThreadPool::RunTask(Task* task) {
-  const std::unique_ptr<Task> owned(task);  // reclaim from the queues
   if (queue_depth_ != nullptr) {
     queue_depth_->Add(-1);
     tasks_total_->Increment();
-    wait_ms_->Observe(task->wait.ElapsedMillis());
+    wait_ms_->Observe(std::chrono::duration<double, std::milli>(
+                          SteadyNow() - task->enqueued)
+                          .count());
   }
-  task->fn();  // records its own run time (Submit's RunRecorder)
+  // Last access: the task may be freed or its frame gone once it ran.
+  task->run(task);
 }
 
 ThreadPool::RunRecorder::~RunRecorder() {
@@ -151,8 +179,41 @@ ThreadPool::RunRecorder::~RunRecorder() {
   cell.tasks.fetch_add(1, std::memory_order_relaxed);
 }
 
-void ThreadPool::ParallelFor(size_t begin, size_t end,
-                             const std::function<void(size_t)>& fn) {
+void ThreadPool::Latch::CountDown(std::exception_ptr error) {
+  MutexLock lock(mutex_);
+  if (error && !error_) error_ = std::move(error);
+  if (--count_ == 0) cv_.NotifyAll();
+}
+
+bool ThreadPool::Latch::Done() {
+  MutexLock lock(mutex_);
+  return count_ == 0;
+}
+
+std::exception_ptr ThreadPool::Latch::Wait() {
+  MutexLock lock(mutex_);
+  while (count_ > 0) cv_.Wait(mutex_);
+  return error_;
+}
+
+void ThreadPool::RunChunk(Task* base) {
+  const ChunkTask& chunk = *static_cast<ChunkTask*>(base);
+  std::exception_ptr error;
+  {
+    const RunRecorder record{*chunk.pool, Stopwatch()};
+    try {
+      for (size_t i = chunk.lo; i < chunk.hi; ++i) chunk.call(chunk.body, i);
+    } catch (...) {
+      error = std::current_exception();
+    }
+  }
+  // The caller's frame (chunk and latch) may end once this returns.
+  chunk.latch->CountDown(std::move(error));
+}
+
+void ThreadPool::ParallelForImpl(size_t begin, size_t end,
+                                 void (*call)(const void*, size_t),
+                                 const void* body) {
   if (begin >= end) return;
   const size_t total = end - begin;
   // Single-queue keeps the one-chunk-per-worker split (the A/B
@@ -161,53 +222,46 @@ void ThreadPool::ParallelFor(size_t begin, size_t end,
   const size_t target_chunks = mode_ == PoolMode::kWorkStealing
                                    ? num_threads() * 4
                                    : num_threads();
-  const size_t chunks = std::min(total, std::max<size_t>(1, target_chunks));
+  const size_t chunks =
+      std::min({total, std::max<size_t>(1, target_chunks), kMaxChunks});
   const size_t chunk_size = (total + chunks - 1) / chunks;
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (size_t c = 0; c < chunks; ++c) {
-    const size_t lo = begin + c * chunk_size;
-    const size_t hi = std::min(end, lo + chunk_size);
-    if (lo >= hi) break;
-    futures.push_back(Submit([lo, hi, &fn] {
-      for (size_t i = lo; i < hi; ++i) fn(i);
-    }));
+  const size_t used = (total + chunk_size - 1) / chunk_size;
+  Latch latch(used);
+  std::array<ChunkTask, kMaxChunks> storage;
+  std::array<Task*, kMaxChunks> queued;
+  for (size_t c = 0; c < used; ++c) {
+    ChunkTask& chunk = storage[c];
+    chunk.run = &RunChunk;
+    chunk.pool = this;
+    chunk.latch = &latch;
+    chunk.call = call;
+    chunk.body = body;
+    chunk.lo = begin + c * chunk_size;
+    chunk.hi = std::min(end, chunk.lo + chunk_size);
+    queued[c] = &chunk;
   }
-  // Wait with work-helping: when this is itself a pool task (nested
-  // ParallelFor) every worker may be blocked here, so queued work would
-  // never drain if we simply slept on the futures. Helping also means the
-  // pool cannot deadlock regardless of nesting depth or thread count. In
-  // stealing mode helpers raid peer deques too, so an external caller
-  // (e.g. a query blocked on its round's shard tasks) contributes a full
-  // execution lane instead of sleeping.
+  Enqueue(queued.data(), used);
+  // Help while anything is queued: when this is itself a pool task
+  // (nested ParallelFor) every worker may be blocked here, so queued work
+  // would never drain if we simply slept. In stealing mode helpers raid
+  // peer deques too, so an external caller (a query blocked on its
+  // round's tasks) contributes a full execution lane. Once nothing is
+  // left to take, each outstanding chunk is running on some thread, and
+  // sleeping on the latch until they finish cannot deadlock.
   //
-  // Every future is drained before any exception is rethrown -- the chunk
-  // lambdas capture `fn` by reference, so no chunk may outlive this frame.
-  std::exception_ptr first_error;
-  for (auto& future : futures) {
-    while (future.wait_for(std::chrono::seconds(0)) !=
-           std::future_status::ready) {
-      if (!RunOneTask()) {
-        // Nothing runnable anywhere: our chunk is mid-flight on another
-        // thread. Poll with a short timeout in case helpable work
-        // appears.
-        future.wait_for(std::chrono::milliseconds(1));
-      }
-    }
-    try {
-      future.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
+  // Every chunk finishes before any exception is rethrown -- the chunks
+  // reference `body` and this frame.
+  while (!latch.Done() && RunOneTask()) {
   }
-  if (first_error) std::rethrow_exception(first_error);
+  if (std::exception_ptr error = latch.Wait()) std::rethrow_exception(error);
 }
 
 ThreadPool::Task* ThreadPool::PopInjector() {
   MutexLock lock(mutex_);
-  if (injector_.empty()) return nullptr;
-  Task* task = injector_.front();
-  injector_.pop();
+  Task* task = injector_head_;
+  if (task == nullptr) return nullptr;
+  injector_head_ = task->next;
+  if (injector_head_ == nullptr) injector_tail_ = nullptr;
   return task;
 }
 
@@ -269,17 +323,18 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
     }
     MutexLock lock(mutex_);
     // Drain-before-exit: stop_ only wins once no task is queued
-    // anywhere, preserving the pre-stealing destructor contract.
-    Stopwatch idle;
-    while (!stop_ && pending_.load() == 0) {
-      // Timed wait: a worker pushing to its own deque notifies without
-      // the lock, so a wakeup can race this sleep; the timeout bounds
-      // that window instead of serializing the push hot path.
-      cv_.WaitFor(mutex_, std::chrono::milliseconds(1));
-    }
-    worker_cells_[worker_index].idle_ns.fetch_add(
-        static_cast<uint64_t>(idle.ElapsedMillis() * 1e6),
-        std::memory_order_relaxed);
+    // anywhere, preserving the pre-stealing destructor contract. The
+    // wait is untimed: Enqueue raises pending_ under mutex_ before it
+    // notifies, so no wakeup can slip between this check and the sleep.
+    // The parked stretch is published while it lasts (GetWorkerStats
+    // reads it), then credited to idle_ns.
+    WorkerCell& cell = worker_cells_[worker_index];
+    const int64_t parked_since = SteadyNowNs();
+    cell.parked_since_ns.store(parked_since, std::memory_order_relaxed);
+    while (!stop_ && pending_.load() == 0) cv_.Wait(mutex_);
+    cell.idle_ns.fetch_add(static_cast<uint64_t>(SteadyNowNs() - parked_since),
+                           std::memory_order_relaxed);
+    cell.parked_since_ns.store(0, std::memory_order_relaxed);
     if (stop_ && pending_.load() == 0) return;
   }
 }

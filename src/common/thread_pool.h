@@ -12,30 +12,35 @@
 //                            injector queue, workers push nested work to
 //                            their own deque (LIFO for the owner) and
 //                            steal FIFO from peers when idle. Blocked
-//                            ParallelFor callers steal too instead of
-//                            sleeping, which is what keeps many small
-//                            shard tasks from many concurrent queries
-//                            flowing (docs/SHARDING.md).
+//                            ParallelFor callers steal too before they
+//                            sleep, so a query's own thread is one more
+//                            execution lane for its round
+//                            (docs/SHARDING.md).
 //   kSingleQueue             one mutex-guarded FIFO, the pre-stealing
 //                            executor, kept behind this flag as the
 //                            determinism / throughput A/B baseline
 //                            (bench/serve_throughput.cc runs both).
 // Scheduling mode never affects query answers: the core's shard merge is
 // order-invariant by construction, so modes are freely interchangeable.
+//
+// Queueing allocates nothing: tasks are intrusive nodes, and ParallelFor
+// chunks live in the caller's frame and report to a countdown latch
+// there. Idle workers sleep on a condition variable until work is queued.
 
 #ifndef SWOPE_COMMON_THREAD_POOL_H_
 #define SWOPE_COMMON_THREAD_POOL_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <exception>
 #include <future>
 #include <memory>
-#include <queue>
 #include <string>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/common/mutex.h"
@@ -66,9 +71,10 @@ const char* PoolModeName(PoolMode mode);
 ///
 /// ParallelFor is reentrant: a task running on the pool may itself call
 /// ParallelFor. The blocked caller helps drain queued work (popping its
-/// own deque, stealing from peers, draining the injector) instead of
-/// sleeping, so nested parallel sections cannot deadlock even on a
-/// single-thread pool.
+/// own deque, stealing from peers, draining the injector) and sleeps only
+/// once nothing is left to take, when each of its outstanding chunks is
+/// running on some thread. So nested parallel sections cannot deadlock,
+/// even on a single-thread pool.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (at least 1).
@@ -109,7 +115,8 @@ class ThreadPool {
   struct WorkerStats {
     /// Time spent executing task bodies.
     uint64_t run_ns = 0;
-    /// Time spent parked in the idle wait loop (only workers accrue it;
+    /// Time spent parked in the idle wait loop, including the stretch of
+    /// a worker that is parked right now (only workers accrue it;
     /// external helpers never park).
     uint64_t idle_ns = 0;
     /// Tasks executed.
@@ -120,7 +127,7 @@ class ThreadPool {
   };
   /// One entry per worker, plus a final entry aggregating every external
   /// helper thread (ParallelFor callers draining work while they wait).
-  std::vector<WorkerStats> GetWorkerStats() const;
+  std::vector<WorkerStats> GetWorkerStats() const REQUIRES(!mutex_);
 
   /// Enqueues `fn`; the future resolves to its result (or exception)
   /// when it finishes. The task's run time and count are recorded before
@@ -131,45 +138,112 @@ class ThreadPool {
   template <typename Fn>
   std::future<std::invoke_result_t<Fn&>> Submit(Fn fn) REQUIRES(!mutex_) {
     using R = std::invoke_result_t<Fn&>;
-    auto work = std::make_shared<std::packaged_task<R()>>(
+    // A heap task that owns the packaged body and frees itself once run.
+    struct Submitted : Task {
+      explicit Submitted(std::packaged_task<R()> body)
+          : work(std::move(body)) {}
+      std::packaged_task<R()> work;
+    };
+    auto task = std::make_unique<Submitted>(std::packaged_task<R()>(
         [this, fn = std::move(fn)]() mutable -> R {
           const RunRecorder record{*this, Stopwatch()};
           return fn();
-        });
-    std::future<R> future = work->get_future();
-    Enqueue([work] { (*work)(); });
+        }));
+    task->run = [](Task* base) {
+      const std::unique_ptr<Submitted> self(static_cast<Submitted*>(base));
+      self->work();
+    };
+    std::future<R> future = task->work.get_future();
+    Task* const queued = task.release();  // reclaimed by `run`
+    Enqueue(&queued, 1);
     return future;
   }
 
+  /// Most chunks one ParallelFor splits its range into (the chunks live
+  /// on the caller's stack). Stealing mode aims for 4 chunks per worker,
+  /// so a pool wider than kMaxChunks / 4 loses part of that rebalancing
+  /// slack, and one wider than kMaxChunks leaves workers idle in a call.
+  static constexpr size_t kMaxChunks = 64;
+
   /// Runs fn(i) for i in [begin, end) across the pool and blocks until all
-  /// iterations complete. Iterations are distributed in contiguous chunks.
-  /// If any iteration throws, the first exception is rethrown after every
-  /// chunk has finished (so `fn` is never referenced after the call
-  /// returns). A zero-length range returns immediately.
-  void ParallelFor(size_t begin, size_t end,
-                   const std::function<void(size_t)>& fn) REQUIRES(!mutex_);
+  /// iterations complete. Iterations are distributed in at most
+  /// kMaxChunks contiguous chunks that live in this call's frame, so a
+  /// call allocates nothing. If any iteration throws, the first
+  /// exception is rethrown after every chunk has finished (so `fn` is
+  /// never referenced after the call returns).
+  /// A zero-length range returns immediately.
+  template <typename Fn>
+  void ParallelFor(size_t begin, size_t end, Fn&& fn) REQUIRES(!mutex_) {
+    using Body = std::remove_reference_t<Fn>;
+    ParallelForImpl(
+        begin, end,
+        [](const void* body, size_t i) {
+          (*static_cast<Body*>(const_cast<void*>(body)))(i);
+        },
+        &fn);
+  }
 
  private:
-  /// A queued unit of work. `wait` starts at enqueue time so the task
-  /// wait histogram measures time spent in the queue.
+  /// A queued unit of work: an intrusive node, so queueing it allocates
+  /// nothing. `run` executes the body and is the last access to the
+  /// task (a ParallelFor chunk's frame may end right after it). The
+  /// enqueue time feeds the wait histogram of instrumented pools.
   struct Task {
-    std::function<void()> fn;
-    Stopwatch wait;
+    void (*run)(Task*) = nullptr;
+    Task* next = nullptr;
+    std::chrono::steady_clock::time_point enqueued{};
   };
 
   /// Times one task body. The destructor -- run on normal and
-  /// exceptional exit alike, before the packaged task publishes the
-  /// result -- adds the time to the calling thread's worker counters and,
-  /// when instrumented, the run histogram.
+  /// exceptional exit alike, before the task publishes its completion
+  /// (future or latch) -- adds the time to the calling thread's worker
+  /// counters and, when instrumented, the run histogram.
   struct RunRecorder {
     ~RunRecorder();
     ThreadPool& pool;
     const Stopwatch run;
   };
 
-  /// Chase–Lev-style bounded work-stealing deque over heap Task
-  /// pointers. The owning worker pushes and pops at the bottom (LIFO);
-  /// thieves CAS the top (FIFO). Every access is a seq_cst atomic -- the
+  /// Counts a ParallelFor's outstanding chunks down to zero and keeps the
+  /// first exception. Counting happens under the latch's own mutex, so
+  /// the waiter cannot return (and end the frame holding the latch)
+  /// before the last chunk has released it.
+  class Latch {
+   public:
+    explicit Latch(size_t count) : count_(count) {}
+    void CountDown(std::exception_ptr error) REQUIRES(!mutex_);
+    /// True once every chunk finished.
+    bool Done() REQUIRES(!mutex_);
+    /// Blocks until Done(); returns the first chunk exception, if any.
+    std::exception_ptr Wait() REQUIRES(!mutex_);
+
+   private:
+    Mutex mutex_;
+    CondVar cv_;
+    size_t count_ GUARDED_BY(mutex_);
+    std::exception_ptr error_ GUARDED_BY(mutex_);
+  };
+
+  /// One ParallelFor chunk: fn(i) for i in [lo, hi).
+  struct ChunkTask : Task {
+    ThreadPool* pool = nullptr;
+    Latch* latch = nullptr;
+    void (*call)(const void*, size_t) = nullptr;
+    const void* body = nullptr;
+    size_t lo = 0;
+    size_t hi = 0;
+  };
+
+  void ParallelForImpl(size_t begin, size_t end,
+                       void (*call)(const void*, size_t), const void* body)
+      REQUIRES(!mutex_);
+
+  /// Runs a ChunkTask and counts its latch down.
+  static void RunChunk(Task* base);
+
+  /// Chase–Lev-style bounded work-stealing deque over Task pointers.
+  /// The owning worker pushes and pops at the bottom (LIFO); thieves CAS
+  /// the top (FIFO). Every access is a seq_cst atomic -- the
   /// classic algorithm minus the relaxed-ordering refinements -- which
   /// keeps it data-race-free by construction (the TSan stress jobs run
   /// it hard). A full deque rejects the push and the task overflows to
@@ -249,15 +323,12 @@ class ThreadPool {
   /// Steal sweep: one round over every worker deque except `self`.
   Task* TrySteal(const StealDeque* self);
 
-  /// Queues a type-erased task body: on the calling worker's own deque
-  /// when possible, else through the injector.
-  void Enqueue(std::function<void()> body) REQUIRES(!mutex_);
+  /// Queues `count` tasks -- on the calling worker's own deque when
+  /// possible, the rest through the injector -- and wakes workers.
+  void Enqueue(Task* const* tasks, size_t count) REQUIRES(!mutex_);
 
-  /// Enqueues in the shared injector and wakes a worker.
-  void SubmitToInjector(Task* task) REQUIRES(!mutex_);
-
-  /// Runs a heap task, feeding the queue-depth gauge and wait histogram
-  /// when the pool is instrumented, and frees it.
+  /// Feeds the queue-depth gauge and wait histogram when the pool is
+  /// instrumented, then runs the task.
   void RunTask(Task* task);
 
   /// Index into worker_cells_ for the calling thread: its worker slot on
@@ -274,14 +345,19 @@ class ThreadPool {
   /// deque is internally synchronized (atomics).
   // NOLINTNEXTLINE(swope-lock-discipline): ctor-immutable, atomic cells
   std::vector<std::unique_ptr<StealDeque>> deques_;
-  Mutex mutex_;
-  /// Shared injector: external submissions and deque overflow.
-  std::queue<Task*> injector_ GUARDED_BY(mutex_);
+  /// Also read by GetWorkerStats, hence mutable.
+  mutable Mutex mutex_;
+  /// Shared injector, an intrusive FIFO through Task::next: external
+  /// submissions and deque overflow.
+  Task* injector_head_ GUARDED_BY(mutex_) = nullptr;
+  Task* injector_tail_ GUARDED_BY(mutex_) = nullptr;
   bool stop_ GUARDED_BY(mutex_) = false;
   CondVar cv_;
   std::atomic<uint64_t> steals_{0};
   /// Tasks queued anywhere (injector + deques); lets sleeping workers
-  /// avoid a full deque sweep per wakeup check.
+  /// avoid a full deque sweep per wakeup check. Raised under mutex_, so
+  /// a worker that saw 0 under the lock is already waiting when the
+  /// matching notify arrives: the idle wait needs no timeout.
   std::atomic<int64_t> pending_{0};
 
   /// Per-worker telemetry cells, one cache line each so concurrent
@@ -290,6 +366,10 @@ class ThreadPool {
   struct alignas(64) WorkerCell {
     std::atomic<uint64_t> run_ns{0};
     std::atomic<uint64_t> idle_ns{0};
+    /// Steady-clock ns at which the worker parked, 0 while it is awake.
+    /// Set and cleared (with the idle_ns credit) under mutex_, which
+    /// GetWorkerStats also holds, so a parked stretch counts exactly once.
+    std::atomic<int64_t> parked_since_ns{0};
     std::atomic<uint64_t> tasks{0};
     std::atomic<uint64_t> steals{0};
   };

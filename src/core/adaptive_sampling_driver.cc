@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <memory_resource>
 
 #include "src/common/stopwatch.h"
 #include "src/common/thread_pool.h"
@@ -35,36 +36,48 @@ struct RoundTask {
   size_t shard;
 };
 
-// Per-round scratch reused across rounds so steady-state scheduling
-// allocates nothing.
+// Per-round scheduling scratch, reused across rounds. Every buffer
+// allocates from the query's memory resource (the engine's pooled
+// arena), so fanned-out rounds never touch the heap once it is warm.
 struct RoundScratch {
+  explicit RoundScratch(std::pmr::memory_resource* memory)
+      : partition(memory), tasks(memory), shardable(memory) {}
   ShardSlicePartition partition;
-  std::vector<RoundTask> tasks;
-  std::vector<size_t> shardable;
+  std::pmr::vector<RoundTask> tasks;
+  std::pmr::vector<size_t> shardable;
   bool sharding_prepared = false;
 };
 
-void RunRoundTask(Scorer& scorer, const RoundTask& task,
-                  const std::vector<uint32_t>& order,
-                  PrefixSampler::Range range, uint64_t m,
-                  const ShardSlicePartition& partition) {
-  if (task.shard == kWholeSlice) {
-    scorer.UpdateCandidate(task.candidate, order, range.begin, range.end, m);
-  } else {
-    scorer.UpdateCandidateShard(task.candidate, task.shard, partition);
-  }
+// Runs `update` on the pool for t in [0, count), timing each task into
+// `task_latency` when it is set.
+template <typename Update>
+void FanOut(ThreadPool& pool, size_t count, Histogram* task_latency,
+            const Update& update) {
+  pool.ParallelFor(0, count, [&](size_t t) {
+    if (task_latency != nullptr) {
+      Stopwatch timer;
+      update(t);
+      task_latency->Observe(timer.ElapsedMillis());
+    } else {
+      update(t);
+    }
+  });
 }
 
 // The round's counter-update phase. Serial path (no pool): whole-slice
-// UpdateCandidate per active candidate, exactly the pre-sharding loop.
-// Parallel path: decompose into (candidate x shard) tasks -- each works
-// one shard's sub-slice against (candidate, shard)-private state -- fan
-// them out, then reduce each shardable candidate in FinalizeCandidate
-// (marginal and joint counters alike merge by exact integer addition in
-// ascending shard order). Both paths reach identical counts, and every
-// entropy is a pure function of the counts, so intervals are
-// byte-identical at any thread count and any shard count; every
-// cross-candidate reduction afterwards runs serially in Decide.
+// UpdateCandidate per active candidate. Parallel path, two shapes:
+//   - the slice lies in one shard (always, on one-shard tables): one
+//     whole-slice UpdateCandidate task per candidate, counting straight
+//     into the candidate's own counters -- no deltas, no merge;
+//   - the slice spans shards: (candidate x shard) tasks, each working one
+//     shard's sub-slice against (candidate, shard)-private deltas, then
+//     each shardable candidate reduces in FinalizeCandidate (marginal and
+//     joint counters alike merge by exact integer addition in ascending
+//     shard order).
+// Every shape reaches identical counts, and every entropy is a pure
+// function of the counts, so intervals are byte-identical at any thread
+// count and any shard count; every cross-candidate reduction afterwards
+// runs serially in Decide.
 void UpdateActiveCandidates(Scorer& scorer,
                             const std::pmr::vector<size_t>& active,
                             const std::vector<uint32_t>& order,
@@ -77,39 +90,58 @@ void UpdateActiveCandidates(Scorer& scorer,
     }
     return;
   }
+  // Every worker plus the calling thread may hold a decode buffer, but
+  // no more of them than the round has tasks.
+  const size_t lanes = pool->num_threads() + 1;
+  const size_t num_shards = table.num_shards();
+  if (num_shards > 1) {
+    scratch.partition.Build(order, range.begin, range.end, table.shard_size(),
+                            num_shards);
+  }
+  const uint64_t slice = range.end - range.begin;
+  if (num_shards <= 1 || scratch.partition.MaxShardRows() == slice) {
+    scorer.ReserveDecodeBuffers(std::min(lanes, active.size()), slice);
+    FanOut(*pool, active.size(), task_latency, [&](size_t i) {
+      scorer.UpdateCandidate(active[i], order, range.begin, range.end, m);
+    });
+    return;
+  }
   if (!scratch.sharding_prepared) {
     // Serial one-time sizing of the per-candidate delta counters; shard
     // tasks may then run concurrently without lazy-init races.
-    scorer.PrepareSharding(table.num_shards());
+    scorer.PrepareSharding(num_shards);
     scratch.sharding_prepared = true;
   }
-  scratch.partition.Build(order, range.begin, range.end, table.shard_size(),
-                          table.num_shards());
   scratch.tasks.clear();
   scratch.shardable.clear();
+  bool whole_slice_tasks = false;
   for (size_t idx : active) {
     if (scorer.CandidateShardable(idx)) {
       // Shardable even with zero tasks this round: FinalizeCandidate
       // must still refresh the interval at the new m.
       scratch.shardable.push_back(idx);
-      for (size_t s = 0; s < scratch.partition.num_shards(); ++s) {
+      for (size_t s = 0; s < num_shards; ++s) {
         if (!scratch.partition.local_rows(s).empty()) {
           scratch.tasks.push_back({idx, s});
         }
       }
     } else {
       scratch.tasks.push_back({idx, kWholeSlice});
+      whole_slice_tasks = true;
     }
   }
-  pool->ParallelFor(0, scratch.tasks.size(), [&](size_t t) {
-    if (task_latency != nullptr) {
-      Stopwatch timer;
-      RunRoundTask(scorer, scratch.tasks[t], order, range, m,
-                   scratch.partition);
-      task_latency->Observe(timer.ElapsedMillis());
+  // Shard tasks decode one shard's rows; sketch candidates the slice.
+  scorer.ReserveDecodeBuffers(
+      std::min(lanes, scratch.tasks.size()),
+      whole_slice_tasks ? slice : scratch.partition.MaxShardRows());
+  FanOut(*pool, scratch.tasks.size(), task_latency, [&](size_t t) {
+    const RoundTask& task = scratch.tasks[t];
+    if (task.shard == kWholeSlice) {
+      scorer.UpdateCandidate(task.candidate, order, range.begin, range.end,
+                             m);
     } else {
-      RunRoundTask(scorer, scratch.tasks[t], order, range, m,
-                   scratch.partition);
+      scorer.UpdateCandidateShard(task.candidate, task.shard,
+                                  scratch.partition);
     }
   });
   pool->ParallelFor(0, scratch.shardable.size(), [&](size_t i) {
@@ -156,7 +188,7 @@ Result<AdaptiveSamplingDriver::Output> AdaptiveSamplingDriver::Run(
   // per query. BM_MetricsOverhead pins that to <1%.
   QueryTrace* const trace = options_.trace;
   Stopwatch round_timer;
-  RoundScratch scratch;
+  RoundScratch scratch(memory);
 
   uint64_t m = std::min<uint64_t>(m0, n);
   bool done = false;

@@ -10,8 +10,10 @@
 // (swope_topk_entropy.h et al.) are thin wrappers that pick the pair.
 //
 // Parallelism and determinism: when QueryOptions::pool is set, the driver
-// decomposes each round into (candidate x shard) tasks over the table's
-// row shards and fans them out across the pool: each task counts one
+// fans each round out across the pool. When the round's slice lies in
+// one row shard (always, on one-shard tables) each candidate is one task
+// that counts the whole slice straight into its own counters. Otherwise
+// the round decomposes into (candidate x shard) tasks: each counts one
 // shard's sub-slice into a candidate-and-shard-private delta counter,
 // and each candidate's deltas merge in fixed ascending shard order at
 // round end (FinalizeCandidate). The answer is byte-identical to the
@@ -49,6 +51,7 @@
 #include <vector>
 
 #include "src/common/result.h"
+#include "src/core/code_scratch.h"
 #include "src/core/query_options.h"
 #include "src/core/query_result.h"
 #include "src/core/shard_partition.h"
@@ -106,6 +109,14 @@ class Scorer {
   /// plus a marginal and a joint update per candidate).
   virtual uint64_t CellsPerRow(size_t active) const = 0;
 
+  /// Readies decode buffers for `lanes` concurrent candidate updates of
+  /// up to `rows` rows each, so a fanned-out round draws every buffer it
+  /// leases from the pool instead of the heap. Serial; called before the
+  /// round's tasks start.
+  void ReserveDecodeBuffers(size_t lanes, uint64_t rows) {
+    scratch_.Reserve(lanes, rows);
+  }
+
   /// Fixes the query-wide constants before the first round.
   void Bind(uint64_t n, double p_iter) {
     n_ = n;
@@ -135,7 +146,8 @@ class Scorer {
 
   /// Sizes the per-candidate per-shard delta counters. Called once by
   /// the driver (serially, before the first decomposed round) with the
-  /// table's shard count.
+  /// table's shard count; never for one-shard tables, whose parallel
+  /// rounds need no deltas.
   virtual void PrepareSharding(size_t /*num_shards*/) {}
 
   /// Absorbs partition shard `shard`'s sub-slice into candidate `c`'s
@@ -165,14 +177,21 @@ class Scorer {
                               double epsilon) const = 0;
 
  protected:
-  /// All per-candidate state allocates from `memory` (null: global heap).
-  explicit Scorer(std::pmr::memory_resource* memory = nullptr)
-      : memory_(memory != nullptr ? memory
-                                  : std::pmr::get_default_resource()),
+  /// All per-candidate state allocates from QueryOptions::memory (null:
+  /// global heap); decode buffers come from QueryOptions::scratch.
+  explicit Scorer(const QueryOptions& options)
+      : memory_(ResolveQueryMemory(options)),
+        scratch_(options.scratch != nullptr ? *options.scratch
+                                            : own_scratch_),
         columns_(memory_),
         intervals_(memory_) {}
 
   std::pmr::memory_resource* const memory_;  // never null
+  // Decode buffers, recycled across rounds and shared by the pool
+  // workers: the engine-pooled arena (QueryOptions::scratch) when
+  // provided, else a query-local fallback.
+  CodeScratchArena own_scratch_;
+  CodeScratchArena& scratch_;
   std::pmr::vector<size_t> columns_;         // candidate -> table column
   std::pmr::vector<ScoreInterval> intervals_;  // candidate -> latest interval
   size_t sketch_candidates_ = 0;        // candidates on the sketch path

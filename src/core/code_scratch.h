@@ -12,6 +12,8 @@
 #ifndef SWOPE_CORE_CODE_SCRATCH_H_
 #define SWOPE_CORE_CODE_SCRATCH_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <utility>
 #include <vector>
 
@@ -55,6 +57,26 @@ class CodeScratchArena {
   void Release(std::vector<ValueCode> buffer) REQUIRES(!mutex_) {
     MutexLock lock(mutex_);
     free_.push_back(std::move(buffer));
+  }
+
+  /// Keeps at least `count` idle buffers of at least `size` values each,
+  /// so `count` concurrent leases of that size allocate nothing. Leases
+  /// pop and push at the back, so up to `count` concurrent leases only
+  /// ever hold the last `count` buffers. Sorting by capacity puts the
+  /// largest there, and only those grow, so a query whose rounds reserve
+  /// varying counts stops allocating once warm. Call while no lease is
+  /// out (between rounds).
+  void Reserve(size_t count, size_t size) REQUIRES(!mutex_) {
+    MutexLock lock(mutex_);
+    if (free_.size() < count) free_.resize(count);
+    std::sort(free_.begin(), free_.end(),
+              [](const std::vector<ValueCode>& a,
+                 const std::vector<ValueCode>& b) {
+                return a.capacity() < b.capacity();
+              });
+    for (size_t i = free_.size() - count; i < free_.size(); ++i) {
+      if (free_[i].size() < size) free_[i].resize(size);
+    }
   }
 
  private:

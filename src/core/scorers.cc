@@ -66,14 +66,13 @@ void MergeShardDeltas(const ShardSlicePartition& partition,
 }  // namespace
 
 EntropyScorer::EntropyScorer(const Table& table, const QueryOptions& options)
-    : Scorer(options.memory),
+    : Scorer(options),
       table_(table),
       profiler_(options.profiler),
       views_(memory_),
       counters_(memory_),
       sketches_(memory_),
-      deltas_(memory_),
-      scratch_(options.scratch != nullptr ? *options.scratch : own_scratch_) {
+      deltas_(memory_) {
   const size_t h = table.num_columns();
   columns_.resize(h);
   views_.reserve(h);
@@ -140,7 +139,7 @@ void EntropyScorer::PrepareSharding(size_t num_shards) {
 
 void EntropyScorer::UpdateCandidateShard(size_t c, size_t shard,
                                          const ShardSlicePartition& partition) {
-  const std::vector<uint32_t>& rows = partition.local_rows(shard);
+  const std::pmr::vector<uint32_t>& rows = partition.local_rows(shard);
   CodeScratchArena::Lease lease(scratch_);
   const ValueCode* codes;
   {
@@ -184,7 +183,7 @@ bool EntropyScorer::TopKShouldStop(const std::pmr::vector<size_t>& active,
 
 MiScorer::MiScorer(const Table& table, size_t target,
                    const QueryOptions& options)
-    : Scorer(options.memory),
+    : Scorer(options),
       table_(table),
       target_col_(table.column(target)),
       profiler_(options.profiler),
@@ -196,8 +195,7 @@ MiScorer::MiScorer(const Table& table, size_t target,
                           : table.column(target).support(),
                       memory_),
       target_slice_(memory_),
-      counters_(memory_),
-      scratch_(options.scratch != nullptr ? *options.scratch : own_scratch_) {
+      counters_(memory_) {
   const bool target_sketched =
       UsesSketchPath(target_col_.support(), options);
   if (target_sketched) {
@@ -341,8 +339,8 @@ void MiScorer::PrepareSharding(size_t num_shards) {
 void MiScorer::UpdateCandidateShard(size_t c, size_t shard,
                                     const ShardSlicePartition& partition) {
   CandidateCounters& counter = counters_[c];
-  const std::vector<uint32_t>& rows = partition.local_rows(shard);
-  const std::vector<uint32_t>& pos = partition.slice_pos(shard);
+  const std::pmr::vector<uint32_t>& rows = partition.local_rows(shard);
+  const std::pmr::vector<uint32_t>& pos = partition.slice_pos(shard);
   CodeScratchArena::Lease lease(scratch_);
   const ValueCode* codes;
   {

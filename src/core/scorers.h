@@ -36,7 +36,6 @@
 
 #include "src/core/adaptive_sampling_driver.h"
 #include "src/core/bounds.h"
-#include "src/core/code_scratch.h"
 #include "src/core/frequency_counter.h"
 #include "src/core/pair_counter.h"
 #include "src/core/query_options.h"
@@ -85,11 +84,6 @@ class EntropyScorer : public Scorer {
   // Per-candidate per-shard delta counters for the shard-decomposed
   // rounds (empty for sketched candidates); sized by PrepareSharding.
   std::pmr::vector<std::pmr::vector<FrequencyCounter>> deltas_;
-  // Decode buffers, recycled across rounds and shared by the pool
-  // workers: the engine-pooled arena (QueryOptions::scratch) when
-  // provided, else a query-local fallback.
-  CodeScratchArena own_scratch_;
-  CodeScratchArena& scratch_;
 };
 
 /// Scores every non-target column by its mutual information with the
@@ -181,9 +175,6 @@ class MiScorer : public Scorer {
   // the happens-before edge).
   std::pmr::vector<ValueCode> target_slice_;
   std::pmr::vector<CandidateCounters> counters_;
-  // See EntropyScorer::scratch_.
-  CodeScratchArena own_scratch_;
-  CodeScratchArena& scratch_;
 };
 
 /// Scores every non-target column by its normalized mutual information

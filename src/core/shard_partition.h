@@ -7,8 +7,9 @@
 // into per-shard shard-local row lists. Alongside each local row the
 // partition keeps the row's position within the slice, which is how the
 // MI joint counters line candidate codes up with the round's gathered
-// target codes (scorers.cc). Buffers are reused across rounds, so
-// steady-state partitioning allocates nothing.
+// target codes (scorers.cc). Buffers come from the query's memory
+// resource (the engine's pooled arena) and are reused across rounds, so
+// steady-state partitioning never touches the heap.
 //
 // Partitioning only reorders which task counts which row; the reduction
 // merges integer counts in fixed shard order (marginal and joint
@@ -20,6 +21,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory_resource>
 #include <vector>
 
 namespace swope {
@@ -28,6 +30,11 @@ namespace swope {
 /// local_rows(s) / slice_pos(s) per shard.
 class ShardSlicePartition {
  public:
+  /// Every buffer allocates from `memory`.
+  explicit ShardSlicePartition(
+      std::pmr::memory_resource* memory = std::pmr::get_default_resource())
+      : shards_(memory) {}
+
   /// Partitions order[begin..end): global row order[begin + i] lands in
   /// shard order[begin + i] / shard_size as local row
   /// order[begin + i] % shard_size with slice position i.
@@ -35,22 +42,29 @@ class ShardSlicePartition {
              uint64_t end, uint64_t shard_size, size_t num_shards);
 
   size_t num_shards() const { return shards_.size(); }
+  /// Rows routed to the fullest shard (the whole slice when it lies in
+  /// one shard).
+  uint64_t MaxShardRows() const { return max_rows_; }
   /// Shard-local row indices of the slice rows routed to shard `s`
   /// (feed to ColumnView::GatherShard).
-  const std::vector<uint32_t>& local_rows(size_t s) const {
+  const std::pmr::vector<uint32_t>& local_rows(size_t s) const {
     return shards_[s].local_rows;
   }
   /// Slice positions (i in [0, end - begin)) aligned with local_rows(s).
-  const std::vector<uint32_t>& slice_pos(size_t s) const {
+  const std::pmr::vector<uint32_t>& slice_pos(size_t s) const {
     return shards_[s].slice_pos;
   }
 
  private:
   struct Shard {
-    std::vector<uint32_t> local_rows;
-    std::vector<uint32_t> slice_pos;
+    explicit Shard(std::pmr::memory_resource* memory)
+        : local_rows(memory), slice_pos(memory) {}
+    std::pmr::vector<uint32_t> local_rows;
+    std::pmr::vector<uint32_t> slice_pos;
+    uint64_t rows = 0;  // Build's counting pass
   };
-  std::vector<Shard> shards_;
+  std::pmr::vector<Shard> shards_;
+  uint64_t max_rows_ = 0;
 };
 
 }  // namespace swope

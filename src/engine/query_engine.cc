@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <thread>
 #include <utility>
 
 #include "src/common/alloc_hook.h"
@@ -90,6 +91,14 @@ PoolUtilization SummarizePool(const ThreadPool& pool) {
 
 }  // namespace
 
+size_t DefaultIntraQueryThreads() {
+  const size_t cores = std::thread::hardware_concurrency();
+  // Past kMaxChunks / 4 workers a ParallelFor round can no longer give
+  // each worker the stealing mode's 4 chunks.
+  return std::clamp<size_t>(cores > 2 ? cores - 1 : 1, 1,
+                            ThreadPool::kMaxChunks / 4);
+}
+
 QueryEngine::QueryEngine(EngineConfig config)
     : config_([&config] {
         config.num_threads = std::max<size_t>(1, config.num_threads);
@@ -119,6 +128,8 @@ QueryEngine::QueryEngine(EngineConfig config)
           metrics_.GetCounter("swope_engine_queries_sketch_total")),
       queries_exact_(metrics_.GetCounter("swope_engine_queries_exact_total")),
       ingest_rows_(metrics_.GetCounter("swope_engine_ingest_rows_total")),
+      queries_fanned_out_(
+          metrics_.GetCounter("swope_engine_queries_fanned_out_total")),
       in_flight_gauge_(metrics_.GetGauge("swope_engine_in_flight")),
       admission_waiting_(metrics_.GetGauge("swope_engine_admission_waiting")),
       query_latency_ms_{LatencyHistogram(metrics_, 0),
@@ -335,13 +346,16 @@ Result<QueryResponse> QueryEngine::Execute(const DatasetHandle& dataset,
     control.SetTimeout(std::chrono::milliseconds(timeout_ms));
   }
 
-  // A query's admission weight is its table's shard count: the number of
-  // tasks one of its rounds can put on the shared pool per candidate.
+  // A query's admission weight is its table's shard count, a coarse size
+  // proxy for max_in_flight_tasks (the lone-query rule below, not this
+  // weight, decides who uses the intra-query pool).
   const size_t task_weight =
       std::max<size_t>(1, dataset->table.num_shards());
+  bool alone = false;
   {
     StageTimer admit_timer(profiler.get(), Stage::kSchedulingWait);
-    SWOPE_RETURN_NOT_OK(AdmitQuery(control, task_weight, dataset->name));
+    SWOPE_RETURN_NOT_OK(
+        AdmitQuery(control, task_weight, dataset->name, &alone));
   }
   struct SlotRelease {
     QueryEngine* engine;
@@ -367,10 +381,15 @@ Result<QueryResponse> QueryEngine::Execute(const DatasetHandle& dataset,
     options.trace = trace.get();
   }
   options.profiler = profiler.get();
+  // Fan out only a query that executes alone: it would otherwise leave
+  // the other cores idle, while concurrent queries already keep them
+  // busy, and sharing the pool between them costs throughput and memory.
   // Dedicated pool: intra-query ParallelFor must not share the executor,
-  // where a blocked caller would help-drain whole-query tasks. Every
-  // concurrent query shards onto this one stealing pool.
-  options.pool = intra_pool_.get();
+  // where a blocked caller would help-drain whole-query tasks.
+  if (alone && intra_pool_ != nullptr) {
+    options.pool = intra_pool_.get();
+    queries_fanned_out_->Increment();
+  }
   options.shard_task_latency = shard_task_ms_;
   if (table.num_rows() > 0) {
     options.shared_order = permutation_cache_.GetOrCreate(
@@ -413,7 +432,7 @@ bool QueryEngine::AdmissibleLocked(size_t task_weight) const {
 }
 
 Status QueryEngine::AdmitQuery(ExecControl& control, size_t task_weight,
-                               const std::string& dataset) {
+                               const std::string& dataset, bool* alone) {
   // Admission control: bounded concurrent executions and bounded
   // in-flight shard tasks. Waiting honours the query's own deadline and
   // cancellation (polled, so no token->cv hookup is needed).
@@ -446,6 +465,7 @@ Status QueryEngine::AdmitQuery(ExecControl& control, size_t task_weight,
     admission_waiting_->Add(-1);
   }
   ++in_flight_;
+  *alone = in_flight_ == 1;
   in_flight_tasks_ += task_weight;
   in_flight_gauge_->Set(static_cast<int64_t>(in_flight_));
   in_flight_tasks_gauge_->Set(static_cast<int64_t>(in_flight_tasks_));
@@ -529,6 +549,7 @@ EngineCounters QueryEngine::GetCounters() const {
   counters.queries_sketch = queries_sketch_->Value();
   counters.queries_exact = queries_exact_->Value();
   counters.ingest_rows = ingest_rows_->Value();
+  counters.queries_fanned_out = queries_fanned_out_->Value();
   const ResultCache::Stats results = result_cache_.GetStats();
   counters.result_cache_hits = results.hits;
   counters.result_cache_misses = results.misses;

@@ -19,6 +19,7 @@
 #ifndef SWOPE_ENGINE_QUERY_ENGINE_H_
 #define SWOPE_ENGINE_QUERY_ENGINE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -43,15 +44,23 @@
 
 namespace swope {
 
+/// Default EngineConfig::intra_query_threads: hardware cores - 1 (the
+/// query's own thread drains its round too), at least 1, so a 1-2-core
+/// host keeps the serial engine, and at most ThreadPool::kMaxChunks / 4
+/// (16), the widest pool whose rounds still split 4 chunks per worker.
+size_t DefaultIntraQueryThreads();
+
 /// Engine sizing knobs.
 struct EngineConfig {
   /// Executor threads for Submit(); >= 1.
   size_t num_threads = 4;
-  /// Worker threads for the intra-query shard-task phase
-  /// (QueryOptions::pool), shared by every concurrently executing query;
-  /// 1 = serial. Answers are byte-identical either way (docs/CORE.md,
-  /// docs/SHARDING.md), so this is purely a latency knob.
-  size_t intra_query_threads = 1;
+  /// Worker threads of the intra-query pool (QueryOptions::pool); 1 =
+  /// serial. A query fans its rounds out on the pool only when it is the
+  /// only query executing at admission; with others in flight the cores
+  /// are already busy and it runs serially. Answers are byte-identical
+  /// either way (docs/CORE.md, docs/SHARDING.md), so this is purely a
+  /// latency knob.
+  size_t intra_query_threads = DefaultIntraQueryThreads();
   /// Scheduling mode for both pools (executor + intra-query). Never
   /// affects answers; kSingleQueue is the throughput A/B baseline.
   PoolMode pool_mode = PoolMode::kWorkStealing;
@@ -61,11 +70,12 @@ struct EngineConfig {
   /// Admission control: queries executing concurrently (not counting
   /// cache hits, which bypass admission). Further Run calls wait; >= 1.
   size_t max_in_flight = 8;
-  /// Admission control over *tasks*: bounds the summed shard counts of
-  /// concurrently executing queries (each query's weight is its table's
-  /// shard count -- the shard tasks it puts on the shared pool per
-  /// round). 0 = unbounded. A query heavier than the whole budget still
-  /// admits when it would run alone, so the bound cannot deadlock.
+  /// Admission control weighted by table layout: bounds the summed shard
+  /// counts of concurrently executing queries (each query's weight is
+  /// its table's shard count). Only a lone query uses the intra-query
+  /// pool, so the weight no longer counts pool tasks; it is a coarse
+  /// size proxy. 0 = unbounded. A query heavier than the whole budget
+  /// still admits when it would run alone, so the bound cannot deadlock.
   size_t max_in_flight_tasks = 0;
   /// Load shedding: when > 0, a query that finds this many queries
   /// already waiting in admission is rejected immediately with
@@ -143,6 +153,9 @@ struct EngineCounters {
   uint64_t rejected = 0;
   /// Successful steals across both pools' work-stealing deques.
   uint64_t pool_steals = 0;
+  /// Executed queries that fanned their rounds out on the intra-query
+  /// pool (they were the only query executing when admitted).
+  uint64_t queries_fanned_out = 0;
   /// Successful queries split by estimation path: sketch when at least
   /// one candidate was scored through a count-min sketch
   /// (QueryStats::sketch_candidates > 0), exact otherwise. Cache hits
@@ -245,9 +258,11 @@ class QueryEngine {
   /// budget are free (or `control` cancels / expires, or the waiting
   /// queue is full) and claims them. Each successful admission must be
   /// paired with exactly one ReleaseSlot(task_weight). `dataset` labels
-  /// the admit/reject events this emits.
+  /// the admit/reject events this emits. `*alone` tells whether the
+  /// query is the only one executing once admitted.
   Status AdmitQuery(ExecControl& control, size_t task_weight,
-                    const std::string& dataset) REQUIRES(!admission_mutex_);
+                    const std::string& dataset, bool* alone)
+      REQUIRES(!admission_mutex_);
 
   /// Returns an execution slot and task budget claimed by AdmitQuery.
   void ReleaseSlot(size_t task_weight) REQUIRES(!admission_mutex_);
@@ -304,6 +319,7 @@ class QueryEngine {
   Counter* const queries_sketch_;
   Counter* const queries_exact_;
   Counter* const ingest_rows_;
+  Counter* const queries_fanned_out_;
   Gauge* const in_flight_gauge_;
   Gauge* const admission_waiting_;
   /// Whole-query wall time, one histogram per query kind (indexed by
@@ -333,7 +349,8 @@ class QueryEngine {
   Gauge* const intra_idle_ms_;
   Gauge* const intra_utilization_;
 
-  /// Shared intra-query worker pool (null when intra_query_threads <= 1).
+  /// Intra-query worker pool (null when intra_query_threads <= 1), used
+  /// by whichever query executes alone.
   /// Declared before pool_ so it outlives the executor: queries still
   /// draining from pool_ during destruction may be using it.
   std::unique_ptr<ThreadPool> intra_pool_;

@@ -204,6 +204,7 @@ std::string CountersToJson(const EngineCounters& counters,
   add("admission_waits", counters.admission_waits);
   add("rejected", counters.rejected);
   add("pool_steals", counters.pool_steals);
+  add("queries_fanned_out", counters.queries_fanned_out);
   add("queries_sketch", counters.queries_sketch);
   add("queries_exact", counters.queries_exact);
   add("ingest_rows", counters.ingest_rows);

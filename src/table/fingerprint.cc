@@ -1,8 +1,8 @@
 #include "src/table/fingerprint.h"
 
-#include <algorithm>
+#include <cstddef>
+#include <string>
 #include <string_view>
-#include <vector>
 
 namespace swope {
 
@@ -37,27 +37,68 @@ class Hasher {
   uint64_t state_ = kFnvOffset;
 };
 
+// Feeds a column's values to the hasher as one bit stream: the shards'
+// packed payloads concatenated at the column width, re-aligned across
+// shard boundaries, with the bits after the last value masked off. The
+// width is canonical for the support, so the stream is a function of the
+// logical values alone -- not of the shard geometry, the storage mode,
+// or whatever a borrowed payload holds past its last value.
+class BitStream {
+ public:
+  explicit BitStream(Hasher& hasher) : hasher_(hasher) {}
+
+  /// Appends the low `bits` bits of `word` (1 <= bits <= 64).
+  void Append(uint64_t word, uint32_t bits) {
+    if (bits < 64) word &= (uint64_t{1} << bits) - 1;
+    pending_ |= word << filled_;
+    if (filled_ + bits < 64) {
+      filled_ += bits;
+      return;
+    }
+    hasher_.Add(pending_);
+    const uint32_t spilled = 64 - filled_;  // bits of `word` consumed
+    pending_ = spilled < 64 ? word >> spilled : 0;
+    filled_ = filled_ + bits - 64;
+  }
+
+  /// Appends a shard payload of `bits` bits.
+  void AppendPayload(const uint64_t* words, uint64_t bits) {
+    const uint64_t full = bits / 64;
+    if (filled_ == 0) {
+      for (uint64_t w = 0; w < full; ++w) hasher_.Add(words[w]);
+    } else {
+      for (uint64_t w = 0; w < full; ++w) Append(words[w], 64);
+    }
+    if (bits % 64 != 0) Append(words[full], static_cast<uint32_t>(bits % 64));
+  }
+
+  /// Hashes the final partial word, if any; call once, at the end.
+  void Flush() {
+    if (filled_ > 0) hasher_.Add(pending_);
+  }
+
+ private:
+  Hasher& hasher_;
+  uint64_t pending_ = 0;
+  uint32_t filled_ = 0;  // valid low bits of pending_, always < 64
+};
+
 }  // namespace
 
 uint64_t TableFingerprint(const Table& table) {
   Hasher hasher;
   hasher.Add(table.num_rows());
   hasher.Add(static_cast<uint64_t>(table.num_columns()));
-  std::vector<ValueCode> scratch;
   for (const Column& column : table.columns()) {
     hasher.Add(column.name());
     hasher.Add(static_cast<uint64_t>(column.support()));
-    // Decode in chunks; the hash consumes codes in row order, so the
-    // fingerprint is a function of the logical values, not the packing.
-    const uint64_t rows = column.size();
-    scratch.resize(std::min<uint64_t>(rows, 4096));
-    for (uint64_t begin = 0; begin < rows; begin += scratch.size()) {
-      const uint64_t end = std::min<uint64_t>(rows, begin + scratch.size());
-      column.sharded().Decode(begin, end, scratch.data());
-      for (uint64_t i = 0; i < end - begin; ++i) {
-        hasher.Add(static_cast<uint64_t>(scratch[i]));
-      }
+    const ShardedCodes& codes = column.sharded();
+    BitStream stream(hasher);
+    for (size_t s = 0; s < codes.num_shards(); ++s) {
+      const PackedCodes& shard = codes.shard(s);
+      stream.AppendPayload(shard.data_words(), shard.size() * shard.width());
     }
+    stream.Flush();
     hasher.Add(static_cast<uint64_t>(column.labels().size()));
     for (const std::string& label : column.labels()) hasher.Add(label);
   }

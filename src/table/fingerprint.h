@@ -16,12 +16,17 @@
 namespace swope {
 
 /// 64-bit content hash of `table` (FNV-1a over a canonical serialization,
-/// strengthened with a SplitMix64 finalizer per field). Deterministic
-/// across runs and platforms of equal endianness assumptions: all values
-/// are mixed as integers, never as raw memory. Two tables with equal
-/// fingerprints are, for all practical purposes, the same dataset; any
-/// difference in rows, row order, names, supports, or labels changes the
-/// fingerprint with overwhelming probability.
+/// strengthened with a SplitMix64 finalizer per field). Codes are hashed
+/// straight from the packed payload words -- no decode -- as one bit
+/// stream per column, re-aligned across shard boundaries and masked past
+/// the last value; since the width is canonical for the support, the
+/// print depends on the logical values only, not on shard geometry or
+/// owned vs mapped storage. Deterministic across runs and platforms of
+/// equal endianness assumptions: all values are mixed as integers, never
+/// as raw memory. Two tables with equal fingerprints are, for all
+/// practical purposes, the same dataset; any difference in rows, row
+/// order, names, supports, or labels changes the fingerprint with
+/// overwhelming probability.
 uint64_t TableFingerprint(const Table& table);
 
 }  // namespace swope

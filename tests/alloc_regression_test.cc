@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/alloc_hook.h"
+#include "src/common/thread_pool.h"
 #include "src/core/query_memory.h"
 #include "src/core/query_options.h"
 #include "src/core/query_result.h"
@@ -47,8 +48,8 @@
 #if SWOPE_ALLOC_INTERPOSER
 
 namespace {
-// Relaxed is fine: the serial test path is single-threaded and only
-// deltas are compared.
+// Relaxed is fine: only deltas are compared, read once the counted
+// region (pool tasks included) has completed.
 std::atomic<uint64_t> g_allocations{0};
 
 void* CountedNew(size_t size) {
@@ -205,6 +206,57 @@ TEST(AllocRegressionTest, MiTopKSteadyStateIsZeroAlloc) {
       },
       /*rounds=*/4);
   EXPECT_EQ(allocs, 0u) << "MI top-k steady state must not touch the heap; "
+                           "see docs/ENGINE.md";
+}
+
+// Fanned-out rounds: ParallelFor's chunks live in the caller's frame and
+// queue intrusively, round scratch comes from the arena, and the decode
+// buffers every lane leases are reserved before the fan-out -- so a warm
+// query on a ThreadPool allocates nothing either, on whichever thread.
+TEST(AllocRegressionTest, EntropyTopKOnThreadPoolIsZeroAlloc) {
+  const uint64_t rows = 4000;
+  // Sharded, so rounds take the (candidate x shard) path with its
+  // partition and per-shard deltas.
+  Table table = test::MakeEntropyTable({1.0, 2.5, 0.5, 1.8, 3.0}, rows, 11)
+                    .Resharded(1024);
+  ASSERT_GT(table.num_shards(), 1u);
+  auto order = std::make_shared<const std::vector<uint32_t>>(
+      ShuffledRowOrder(static_cast<uint32_t>(rows), /*seed=*/7));
+  auto pool = std::make_shared<QueryMemoryPool>();
+  ThreadPool workers(3);
+
+  const uint64_t allocs = SteadyStateAllocs(
+      pool,
+      [&](QueryOptions& options) {
+        options.shared_order = order;
+        options.pool = &workers;
+        return SwopeTopKEntropy(table, /*k=*/2, options);
+      },
+      /*rounds=*/4);
+  EXPECT_EQ(allocs, 0u) << "fanned-out entropy top-k must not touch the "
+                           "heap; see docs/ENGINE.md";
+}
+
+TEST(AllocRegressionTest, MiTopKOnThreadPoolIsZeroAlloc) {
+  const uint64_t rows = 4000;
+  // One shard: rounds take the candidate-task path.
+  Table table = test::MakeMiTable({0.9, 0.1, 0.5}, rows, 17);
+  ASSERT_EQ(table.num_shards(), 1u);
+  auto order = std::make_shared<const std::vector<uint32_t>>(
+      ShuffledRowOrder(static_cast<uint32_t>(rows), /*seed=*/7));
+  auto pool = std::make_shared<QueryMemoryPool>();
+  ThreadPool workers(3);
+
+  const uint64_t allocs = SteadyStateAllocs(
+      pool,
+      [&](QueryOptions& options) {
+        options.epsilon = 0.5;
+        options.shared_order = order;
+        options.pool = &workers;
+        return SwopeTopKMi(table, /*target=*/0, /*k=*/1, options);
+      },
+      /*rounds=*/4);
+  EXPECT_EQ(allocs, 0u) << "fanned-out MI top-k must not touch the heap; "
                            "see docs/ENGINE.md";
 }
 

@@ -184,15 +184,24 @@ grep -F -q '"trace":[{"round":1,' "$TMP/metrics.out" \
 
 # serve with intra-query threads answers identically to serial serve --
 # including with profile=0 spelled out, which must not perturb a byte of
-# any reply across thread counts or pool modes
+# any reply across thread counts or pool modes. The default config fans
+# each lone query out across cores - 1 intra threads, so it is diffed
+# against an explicitly serial engine, for all six query kinds.
 printf '%s\n' \
   "load name=d path=$TMP/d.swpb" \
   "query dataset=d kind=entropy-topk k=3" \
+  "query dataset=d kind=entropy-filter eta=2.0" \
   "query dataset=d kind=nmi-topk target=cdc_a0 k=2" \
+  "query dataset=d kind=nmi-filter target=cdc_a0 eta=0.1" \
   "query dataset=d kind=mi-topk target=cdc_a0 k=2 profile=0" \
+  "query dataset=d kind=mi-filter target=cdc_a0 eta=0.05" \
   "quit" > "$TMP/serve.req"
-"$CLI" serve < "$TMP/serve.req" > "$TMP/serve1.out" \
+"$CLI" serve --intra-threads=1 < "$TMP/serve.req" > "$TMP/serve1.out" \
   || fail "serial serve exited non-zero"
+"$CLI" serve < "$TMP/serve.req" > "$TMP/servedef.out" \
+  || fail "default serve exited non-zero"
+diff "$TMP/serve1.out" "$TMP/servedef.out" \
+  || fail "default config changed serve answers vs --intra-threads=1"
 "$CLI" serve --intra-threads=4 < "$TMP/serve.req" > "$TMP/serve4.out" \
   || fail "parallel serve exited non-zero"
 diff "$TMP/serve1.out" "$TMP/serve4.out" \
@@ -241,6 +250,8 @@ grep -q 'stages:' "$TMP/profile.out" || fail "slow-query detail w/o stages"
 grep -q '"events_logged":' "$TMP/profile.out" || fail "stats events_logged"
 grep -q '"executor_utilization":' "$TMP/profile.out" \
   || fail "stats executor_utilization"
+grep -q '"queries_fanned_out":' "$TMP/profile.out" \
+  || fail "stats queries_fanned_out"
 
 # ---- sketch path, u > 1000 rejection, and streaming ingest ----
 

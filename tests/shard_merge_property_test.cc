@@ -212,8 +212,8 @@ TEST(ShardMergeProperty, PairCounterShardPartitionAndOrderInvariant) {
       std::vector<PairCounter> deltas;
       for (size_t s = 0; s < num_shards; ++s) {
         deltas.emplace_back(g.support_t, g.support_a, g.dense_limit);
-        const std::vector<uint32_t>& rows = partition.local_rows(s);
-        const std::vector<uint32_t>& pos = partition.slice_pos(s);
+        const auto& rows = partition.local_rows(s);
+        const auto& pos = partition.slice_pos(s);
         for (size_t i = 0; i < rows.size(); ++i) {
           deltas[s].Add(target_slice[pos[i]], cand[s * shard_size + rows[i]]);
         }

@@ -1,7 +1,9 @@
 #include "src/common/thread_pool.h"
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -82,6 +84,23 @@ TEST(ThreadPoolTest, SingleQueueModeRunsSubmitAndParallelFor) {
   for (int h : hits) EXPECT_EQ(h, 1);
   // A central queue has no deques to steal from.
   EXPECT_EQ(pool.steals(), 0u);
+}
+
+TEST(ThreadPoolTest, ParkedWorkersAccrueIdleTimeWhileParked) {
+  ThreadPool pool(2);
+  pool.Submit([] {}).get();
+  // Give both workers time to park, then watch them stay parked.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  auto idle_ns = [&pool] {
+    uint64_t total = 0;
+    for (const auto& w : pool.GetWorkerStats()) total += w.idle_ns;
+    return total;
+  };
+  const uint64_t before = idle_ns();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const uint64_t after = idle_ns();
+  // Each worker's parked stretch counts without it waking up.
+  EXPECT_GE(after - before, 2 * 80'000'000ull);
 }
 
 TEST(ThreadPoolTest, DestructorJoinsCleanly) {

@@ -270,7 +270,9 @@ def _parse_members(text, begin, end) -> list:
     function definition, whose segment is dropped.
     """
     body = text[begin:end]
-    body = _ACCESS_LABEL_RE.sub(" ", body)
+    # Same-length blanking keeps offsets into `body` valid in `text`, so
+    # member line numbers (and their NOLINT escapes) stay exact.
+    body = _ACCESS_LABEL_RE.sub(lambda m: " " * len(m.group(0)), body)
     members = []
     seg_start = 0
     i = 0

@@ -71,6 +71,9 @@ commands:
              [--pool-mode=stealing|single-queue] [--memory-budget-mb=N]
              [--result-cache=N] [--timeout-ms=N] [--slow-query-ms=T]
              [--event-log-capacity=N]
+             --intra-threads defaults to cores - 1 (at least 1): a query
+             executing alone fans its rounds out across that pool, while
+             concurrent queries run serially (answers are identical)
              --slow-query-ms captures any executed query slower than T ms
              into the event ring with its stage profile (0 disables);
              `events` reads the ring back
@@ -538,8 +541,8 @@ int CmdNmiTopK(const Flags& flags) {
 int CmdServe(const Flags& flags) {
   EngineConfig config;
   config.num_threads = static_cast<size_t>(flags.GetUint("threads", 4));
-  config.intra_query_threads =
-      static_cast<size_t>(flags.GetUint("intra-threads", 1));
+  config.intra_query_threads = static_cast<size_t>(
+      flags.GetUint("intra-threads", config.intra_query_threads));
   config.max_in_flight =
       static_cast<size_t>(flags.GetUint("max-in-flight", 8));
   config.max_in_flight_tasks =
